@@ -17,7 +17,10 @@ Times the dominant prover kernels on this machine:
   the batched ``ntt_many`` path versus the naive serial-twiddle loop;
 * **Groth16 quotient** (``_compute_h``) for domain sizes 2^8..2^10 — the
   same-size-coset planned pipeline over flat R1CS kernels versus the seed
-  doubled-domain reference.
+  doubled-domain reference;
+* **pairing** keyed by pair count — one full pairing (``"1"``, with the
+  final exponentiation alone as ``final_exp_ops_per_sec``) and the
+  4-pair product check Groth16 verification runs (``"4"``).
 
 Every entry records ops/sec (points/sec for MSM, table-elements/sec for
 sumcheck, vector-elements/sec for commits), so future PRs have a perf
@@ -44,9 +47,20 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.curve.bn254 import CURVE_ORDER, g1_generator, multiply  # noqa: E402
+from repro.curve.bn254 import (  # noqa: E402
+    CURVE_ORDER,
+    g1_generator,
+    g2_generator,
+    multiply,
+)
 from repro.curve.fixed_base import FixedBaseMSM  # noqa: E402
 from repro.curve.msm import _msm_jacobian, msm  # noqa: E402
+from repro.curve.pairing import (  # noqa: E402
+    final_exponentiation,
+    miller_loop_raw,
+    pairing,
+    pairing_product_is_one,
+)
 from repro.field import vector  # noqa: E402
 from repro.field.ntt import naive_ntt, ntt, ntt_many  # noqa: E402
 from repro.field.prime_field import BN254_FR_MODULUS, batch_inv_mod  # noqa: E402
@@ -331,6 +345,29 @@ def bench_quotient(
     return out
 
 
+def bench_pairing(repeats: int = 1) -> Dict[str, Dict[str, float]]:
+    """Pairings/sec keyed by the number of pairs in the product."""
+    rng = random.Random(0xE12)
+    pairs = [
+        (
+            multiply(g1_generator(), rng.randrange(1, CURVE_ORDER)),
+            multiply(g2_generator(), rng.randrange(1, CURVE_ORDER)),
+        )
+        for _ in range(4)
+    ]
+    p, q = pairs[0]
+    f = miller_loop_raw(pairs[:1])
+    # One call is ~10 ms: best of at least 5 keeps the number stable.
+    n = max(5, repeats)
+    return {
+        "1": {
+            "fast_ops_per_sec": 1 / _timed(lambda: pairing(q, p), n),
+            "final_exp_ops_per_sec": 1 / _timed(lambda: final_exponentiation(f), n),
+        },
+        "4": {"fast_ops_per_sec": 1 / _timed(lambda: pairing_product_is_one(pairs), n)},
+    }
+
+
 def merge_baseline(path: str, results: Dict[str, object]) -> Dict[str, object]:
     """Merge ``results`` into the shared baseline file per *entry*: other
     scripts' sections survive untouched, and a --quick run updates only
@@ -388,6 +425,7 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
         "hyrax_commit": bench_hyrax(hyrax_sizes, repeats),
         "ntt": bench_ntt(ntt_sizes, repeats),
         "groth16_quotient": bench_quotient(quotient_sizes, repeats),
+        "pairing": bench_pairing(repeats),
     }
 
 
@@ -403,7 +441,8 @@ def main(argv=None) -> int:
     results = run_benchmarks(repeats=args.repeats, quick=args.quick)
     merge_baseline(args.out, results)
     for section in (
-        "msm", "field", "sumcheck", "hyrax_commit", "ntt", "groth16_quotient"
+        "msm", "field", "sumcheck", "hyrax_commit", "ntt", "groth16_quotient",
+        "pairing",
     ):
         print(f"[{section}]")
         for size, entry in sorted(

@@ -49,6 +49,8 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # The ``vector_*`` metrics (field section) gate the vectorized field
 # engine's kernels against the committed baseline; the paired ``scalar_*``
 # numbers are informational context.
+# ``final_exp_ops_per_sec`` (pairing section) gates the final
+# exponentiation on its own, next to the full pairing and 4-pair product.
 _GATED_METRICS = (
     "fast_ops_per_sec",
     "fixed_base_ops_per_sec",
@@ -61,6 +63,7 @@ _GATED_METRICS = (
     "vector_ntt_many_ops_per_sec",
     "vector_matvec_ops_per_sec",
     "vector_matvec_limbs_ops_per_sec",
+    "final_exp_ops_per_sec",
 )
 
 # Lower-is-better counters (not timings): gated absolutely, with no
@@ -97,6 +100,7 @@ def _paired_metrics(baseline: dict, fresh: dict):
         "hyrax_commit",
         "ntt",
         "groth16_quotient",
+        "pairing",
         "service",
     ):
         base_sec = baseline.get(section, {})

@@ -22,8 +22,6 @@ CURVE_ORDER = BN254_FR_MODULUS
 B1 = 3
 # b for the twist: 3 / (9 + u) in Fq2.
 B2 = Fq2([3, 0]) / Fq2([9, 1])
-# b lifted to Fq12 for twisted points.
-B12 = Fq12.from_int(3)
 
 G1_GENERATOR: Tuple[int, int] = (1, 2)
 G2_GENERATOR: Tuple[Fq2, Fq2] = (

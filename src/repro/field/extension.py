@@ -7,9 +7,11 @@ by its non-leading coefficients.
 * ``Fq2  = Fq[u]  / (u^2 + 1)``
 * ``Fq12 = Fq[w]  / (w^12 - 18 w^6 + 82)``
 
-The G2 twist maps points with Fq2 coordinates into Fq12 so the Miller loop
-runs entirely in Fq12.  This flat degree-12 representation trades a little
-speed for a lot of simplicity, which is the right call for a reproduction.
+These classes are the public face of the pairing's target group: G2
+points carry ``Fq2`` coordinates and :func:`repro.curve.pairing.pairing`
+returns a flat ``Fq12``.  The pairing itself does its arithmetic on plain
+int tuples in the ``Fq2 -> Fq6 -> Fq12`` tower (same ``w``, since
+``w^6 = 9 + u``) and converts to this flat basis only at the end.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Verifying k proofs naively costs 4k Miller loops.  With the standard
 small-exponent batching trick, the k pairing equations are combined with
-random coefficients r_i into one product check, costing k+3 Miller loops
-and a single final exponentiation:
+random coefficients r_i into one product check, costing one multi-Miller
+loop over k+3 pairs and a single final exponentiation:
 
     prod_i e(-A_i, B_i)^{r_i} * e(alpha, beta)^{sum r_i}
          * e(sum r_i L_i, gamma) * e(sum r_i C_i, delta)  ==  1
@@ -16,9 +16,10 @@ All proofs must share the same verifying key.
 from __future__ import annotations
 
 import secrets
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from ..curve.bn254 import add, multiply, neg
+from ..curve.bn254 import multiply, neg
+from ..curve.msm import msm
 from ..curve.pairing import pairing_product_is_one
 from .keys import Proof, VerifyingKey
 from .verify import prepare_inputs
@@ -39,16 +40,26 @@ def batch_verify(
         rng = lambda: secrets.randbits(127) | 1  # noqa: E731
 
     coeffs = [rng() for _ in proofs]
-    pairs = []
-    acc_l = None
-    acc_c = None
-    r_total = 0
-    for r_i, public, proof in zip(coeffs, statements, proofs):
-        r_total += r_i
-        pairs.append((neg(multiply(proof.a, r_i)), proof.b))
-        acc_l = add(acc_l, multiply(prepare_inputs(vk, public), r_i))
-        acc_c = add(acc_c, multiply(proof.c, r_i))
-    pairs.append((multiply(vk.alpha_g1, r_total), vk.beta_g2))
-    pairs.append((acc_l, vk.gamma_g2))
-    pairs.append((acc_c, vk.delta_g2))
+    pairs = [
+        (neg(multiply(proof.a, r_i)), proof.b) for r_i, proof in zip(coeffs, proofs)
+    ]
+    pairs.append((multiply(vk.alpha_g1, sum(coeffs)), vk.beta_g2))
+    pairs.append((combined_statement(vk, statements, coeffs), vk.gamma_g2))
+    pairs.append((msm([proof.c for proof in proofs], coeffs), vk.delta_g2))
     return pairing_product_is_one(pairs)
+
+
+def combined_statement(
+    vk: VerifyingKey, statements: Sequence[Sequence[int]], coeffs: Sequence[int]
+):
+    """``sum_k r_k L(x_k)`` as a single MSM over ``vk.ic``: the weight of
+    ``IC_0`` is ``sum r_k`` and that of ``IC_{i+1}`` is ``sum_k r_k x_ki``."""
+    weights = [0] * (len(vk.ic) - 1)
+    for r_k, public in zip(coeffs, statements):
+        if len(public) != len(weights):
+            raise ValueError(
+                f"expected {len(weights)} public inputs, got {len(public)}"
+            )
+        for i, x in enumerate(public):
+            weights[i] += r_k * x
+    return prepare_inputs(vk, weights, sum(coeffs))

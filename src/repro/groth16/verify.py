@@ -9,22 +9,26 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..curve.bn254 import add, multiply, neg
+from ..curve.bn254 import neg
+from ..curve.msm import msm
 from ..curve.pairing import pairing_product_is_one
 from .keys import Proof, VerifyingKey
 
 
-def prepare_inputs(vk: VerifyingKey, public_inputs: Sequence[int]):
-    """Compute the statement accumulator ``L(x) = IC_0 + sum x_i IC_{i+1}``."""
+def prepare_inputs(
+    vk: VerifyingKey, public_inputs: Sequence[int], ic0_weight: int = 1
+):
+    """Compute the statement accumulator ``L(x) = IC_0 + sum x_i IC_{i+1}``
+    as one MSM over ``vk.ic``.
+
+    ``ic0_weight`` scales ``IC_0``: a batch of statements combined with
+    coefficients ``r_k`` is ``(sum r_k) IC_0 + sum_i (sum_k r_k x_ki) IC_{i+1}``.
+    """
     if len(public_inputs) != len(vk.ic) - 1:
         raise ValueError(
             f"expected {len(vk.ic) - 1} public inputs, got {len(public_inputs)}"
         )
-    acc = vk.ic[0]
-    for coeff, point in zip(public_inputs, vk.ic[1:]):
-        if coeff:
-            acc = add(acc, multiply(point, coeff))
-    return acc
+    return msm(vk.ic, [ic0_weight, *public_inputs])
 
 
 def verify(vk: VerifyingKey, public_inputs: Sequence[int], proof: Proof) -> bool:

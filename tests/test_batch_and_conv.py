@@ -1,6 +1,7 @@
 """Groth16 batch verification and the convolution circuits."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from repro.gadgets.convolution import (
     Conv1dCircuit,
     conv1d_reference,
 )
-from repro.groth16.batch import batch_verify
+from repro.curve.bn254 import add, g1_generator, multiply
+from repro.groth16.batch import batch_verify, combined_statement
+from repro.groth16.verify import prepare_inputs
 from repro.r1cs import LC, ConstraintSystem
 
 R = BN254_FR_MODULUS
@@ -76,6 +79,54 @@ class TestBatchVerify:
         assert not batch_verify(
             kp.vk, [statements[1], statements[0], statements[2]], proofs
         )
+
+    def test_wrong_statement_length_raises(self, batch_setup):
+        kp, _, statements, proofs = batch_setup
+        short = [statements[0], statements[1][:1], statements[2]]
+        with pytest.raises(ValueError):
+            batch_verify(kp.vk, short, proofs)
+
+
+def _fold_prepare_inputs(ic, public):
+    """The per-point statement fold ``IC_0 + sum x_i IC_{i+1}``."""
+    acc = ic[0]
+    for coeff, point in zip(public, ic[1:]):
+        if coeff:
+            acc = add(acc, multiply(point, coeff))
+    return acc
+
+
+class TestStatementMSM:
+    """``prepare_inputs`` and the batch's combined statement are single
+    MSMs over ``vk.ic``; both must equal the per-point fold they replaced.
+    20 IC points put the MSM on its batch-affine path."""
+
+    @pytest.fixture(scope="class")
+    def vk(self):
+        rng = random.Random(31)
+        ic = [multiply(g1_generator(), rng.randrange(1, R)) for _ in range(21)]
+        ic[3] = None
+        return SimpleNamespace(ic=ic)
+
+    def test_prepare_inputs_matches_fold(self, vk):
+        rng = random.Random(32)
+        public = [rng.randrange(R) for _ in range(20)]
+        public[5] = 0
+        public[6] = -7
+        assert prepare_inputs(vk, public) == _fold_prepare_inputs(vk.ic, public)
+
+    def test_prepare_inputs_length_checked(self, vk):
+        with pytest.raises(ValueError):
+            prepare_inputs(vk, [1] * 19)
+
+    def test_combined_statement_matches_per_proof_fold(self, vk):
+        rng = random.Random(33)
+        statements = [[rng.randrange(R) for _ in range(20)] for _ in range(3)]
+        coeffs = [rng.getrandbits(127) | 1 for _ in statements]
+        folded = None
+        for r_k, public in zip(coeffs, statements):
+            folded = add(folded, multiply(_fold_prepare_inputs(vk.ic, public), r_k))
+        assert combined_statement(vk, statements, coeffs) == folded
 
 
 @pytest.mark.parametrize("strategy", CONV_STRATEGIES)
