@@ -20,7 +20,9 @@ Times the dominant prover kernels on this machine:
   doubled-domain reference;
 * **pairing** keyed by pair count — one full pairing (``"1"``, with the
   final exponentiation alone as ``final_exp_ops_per_sec``) and the
-  4-pair product check Groth16 verification runs (``"4"``).
+  4-pair product check Groth16 verification runs (``"4"``);
+* **g2_msm** for 16/32/64 bases — the generic Pippenger MSM and a warm
+  fixed-base table over G2, the Groth16 pi_B path.
 
 Every entry records ops/sec (points/sec for MSM, table-elements/sec for
 sumcheck, vector-elements/sec for commits), so future PRs have a perf
@@ -53,7 +55,7 @@ from repro.curve.bn254 import (  # noqa: E402
     g2_generator,
     multiply,
 )
-from repro.curve.fixed_base import FixedBaseMSM  # noqa: E402
+from repro.curve.fixed_base import FixedBaseMSM, FixedBaseTable  # noqa: E402
 from repro.curve.msm import _msm_jacobian, msm  # noqa: E402
 from repro.curve.pairing import (  # noqa: E402
     final_exponentiation,
@@ -83,6 +85,7 @@ SUMCHECK_SIZES = [1 << k for k in range(10, 17)]  # 2^10 .. 2^16
 HYRAX_SIZES = [1 << 10, 1 << 12]
 NTT_SIZES = [1 << k for k in range(8, 15)]        # 2^8 .. 2^14
 QUOTIENT_SIZES = [1 << 8, 1 << 9, 1 << 10]        # Groth16 domain sizes
+G2_MSM_SIZES = [16, 32, 64]                      # Groth16 B-query sizes
 NTT_BATCH = 4  # vectors per ntt_many call (mirrors the quotient pipeline)
 # Above this size the pre-PR-style Jacobian reference gets too slow to time
 # on every run; the fast paths still cover the full range.
@@ -368,6 +371,27 @@ def bench_pairing(repeats: int = 1) -> Dict[str, Dict[str, float]]:
     }
 
 
+def bench_g2_msm(
+    sizes=G2_MSM_SIZES, repeats: int = 1
+) -> Dict[str, Dict[str, float]]:
+    """G2 MSM points/sec: the generic Pippenger and a warm fixed-base
+    table (the Groth16 pi_B path) over distinct random bases."""
+    rng = random.Random(0x62)
+    g2 = FixedBaseTable(g2_generator())
+    # One MSM is tens of milliseconds: best of at least 3.
+    n_runs = max(3, repeats)
+    out: Dict[str, Dict[str, float]] = {}
+    for n in sizes:
+        pts = [g2.mul(rng.randrange(1, CURVE_ORDER)) for _ in range(n)]
+        scs = [rng.randrange(CURVE_ORDER) for _ in range(n)]
+        fb = FixedBaseMSM(pts)
+        out[str(n)] = {
+            "fast_ops_per_sec": n / _timed(lambda: msm(pts, scs), n_runs),
+            "fixed_base_ops_per_sec": n / _timed(lambda: fb.msm(scs), n_runs),
+        }
+    return out
+
+
 def merge_baseline(path: str, results: Dict[str, object]) -> Dict[str, object]:
     """Merge ``results`` into the shared baseline file per *entry*: other
     scripts' sections survive untouched, and a --quick run updates only
@@ -426,6 +450,7 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
         "ntt": bench_ntt(ntt_sizes, repeats),
         "groth16_quotient": bench_quotient(quotient_sizes, repeats),
         "pairing": bench_pairing(repeats),
+        "g2_msm": bench_g2_msm(repeats=repeats),
     }
 
 
@@ -442,7 +467,7 @@ def main(argv=None) -> int:
     merge_baseline(args.out, results)
     for section in (
         "msm", "field", "sumcheck", "hyrax_commit", "ntt", "groth16_quotient",
-        "pairing",
+        "pairing", "g2_msm",
     ):
         print(f"[{section}]")
         for size, entry in sorted(

@@ -51,6 +51,8 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # numbers are informational context.
 # ``final_exp_ops_per_sec`` (pairing section) gates the final
 # exponentiation on its own, next to the full pairing and 4-pair product.
+# The g2_msm section gates the G2 MSMs (generic and fixed-base, the
+# Groth16 pi_B path) through the same ``fast``/``fixed_base`` metrics.
 _GATED_METRICS = (
     "fast_ops_per_sec",
     "fixed_base_ops_per_sec",
@@ -101,6 +103,7 @@ def _paired_metrics(baseline: dict, fresh: dict):
         "ntt",
         "groth16_quotient",
         "pairing",
+        "g2_msm",
         "service",
     ):
         base_sec = baseline.get(section, {})

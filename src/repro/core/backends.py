@@ -233,14 +233,16 @@ class Groth16Backend(ProofBackend):
         each subsequent proof under this keypair starts at table speed
         instead of paying two generic Pippenger MSMs per query first.
 
-        Warming stops once the cache's table-point budget is spent: a
-        proving key whose queries exceed the budget would otherwise
-        evict the tables just built for its own earlier queries —
-        expensive construction thrown away before the first proof.
+        Warming stops once the cache's table budget is spent: a proving
+        key whose queries exceed the budget would otherwise evict the
+        tables just built for its own earlier queries — expensive
+        construction thrown away before the first proof.  A G2 table
+        is charged at its real size, two to three G1 ones per base.
         """
         from ..curve.fixed_base import (
             _CACHE_TABLE_POINT_LIMIT,
             prewarm_fixed_base,
+            table_cost,
         )
 
         pk = artifacts.keypair.pk
@@ -248,13 +250,15 @@ class Groth16Backend(ProofBackend):
         budget = _CACHE_TABLE_POINT_LIMIT
         for label, points in (
             ("groth16-a", pk.a_query),
+            ("groth16-b2", pk.b_g2_query),
             ("groth16-b1", pk.b_g1_query),
             ("groth16-k", pk.k_query),
             ("groth16-h", pk.h_query),
         ):
-            if len(points) > budget:
+            cost = table_cost(points)
+            if cost > budget:
                 continue  # promote-on-reuse decides for the oversized rest
-            budget -= len(points)
+            budget -= cost
             prewarm_fixed_base((label, fp), points)
 
 

@@ -2,19 +2,26 @@
 
 * ``G1``: points over Fq on ``y^2 = x^3 + 3``, affine tuples plus a Jacobian
   fast path for scalar multiplication.
-* ``G2``: points over Fq2 on the sextic twist ``y^2 = x^3 + 3/(9+u)``.
+* ``G2``: points over Fq2 on the sextic twist ``y^2 = x^3 + 3/(9+u)``;
+  the fast paths run on int tuples in :mod:`repro.curve.g2`.
 
 Points are represented as ``(x, y)`` tuples of field values with ``None``
 standing for the point at infinity — the same convention py_ecc uses, which
 keeps the pairing code generic over the coordinate field.
+
+:class:`GroupOps` bundles the int-tuple operations of one group, so the
+batch-affine reductions here and the MSMs in :mod:`repro.curve.msm` and
+:mod:`repro.curve.fixed_base` are written once for both groups.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..field.extension import Fq2, Fq12, P
 from ..field.prime_field import BN254_FR_MODULUS, batch_inv_mod, inv_mod
+from . import g2 as _g2
 
 # Group order (prime) — scalars live mod this.
 CURVE_ORDER = BN254_FR_MODULUS
@@ -113,14 +120,15 @@ def neg(point: AffinePoint) -> AffinePoint:
 
 
 def multiply(point: AffinePoint, scalar: int) -> AffinePoint:
-    """Scalar multiplication; Jacobian fast paths for both coordinate
-    types (no inversions inside the loop)."""
+    """Scalar multiplication in Jacobian coordinates (no inversions inside
+    the loop); a G2 point runs on int tuples and converts back."""
     scalar %= CURVE_ORDER
     if point is None or scalar == 0:
         return None
-    if isinstance(point[0], int):
-        return _jac_to_affine(_jac_mul(_affine_to_jac(point), scalar))
-    return _ext_jac_to_affine(_ext_jac_mul(point, scalar))
+    ops = group_of(point)
+    return ops.encode(
+        ops.to_affine(ops.jac_mul(ops.to_jac(ops.decode(point)), scalar))
+    )
 
 
 def eq(p1: AffinePoint, p2: AffinePoint) -> bool:
@@ -231,120 +239,6 @@ def _jac_normalize_batch(points: Sequence[JacPoint]) -> List[AffinePoint]:
     return out
 
 
-def batch_affine_reduce(
-    groups: Sequence[Sequence[AffinePoint]],
-) -> List[AffinePoint]:
-    """Sum each group of affine points using batched-inversion affine adds.
-
-    An affine addition costs one field inversion plus ~6 multiplications;
-    Montgomery's trick shares a single inversion across every independent
-    addition in a round.  Each group is reduced as a binary tree, so all
-    groups finish in ``O(log max_group)`` rounds and the per-addition cost
-    approaches ~9 multiplications — versus ~16 for a Jacobian addition
-    (plus the final normalisation inversions a Jacobian accumulator needs).
-    """
-    queues: List[List[Tuple[int, int]]] = [
-        [pt for pt in grp if pt is not None] for grp in groups
-    ]
-    active = [qi for qi, q in enumerate(queues) if len(q) >= 2]
-    while active:
-        dens: List[int] = []
-        qis: List[int] = []
-        lhs: List[Tuple[int, int]] = []
-        rhs: List[Tuple[int, int]] = []
-        for qi in active:
-            pts = queues[qi]
-            keep: List[Tuple[int, int]] = []
-            n = len(pts)
-            for i in range(0, n - 1, 2):
-                p1 = pts[i]
-                p2 = pts[i + 1]
-                if p1[0] == p2[0] and (p1[1] + p2[1]) % P == 0:
-                    continue  # p1 + p2 = infinity: drop the pair.
-                qis.append(qi)
-                lhs.append(p1)
-                rhs.append(p2)
-                # Doubling needs 2y, chord addition x2 - x1; batch_inv_mod
-                # reduces mod P itself.
-                dens.append(2 * p1[1] if p1[0] == p2[0] else p2[0] - p1[0])
-            if n & 1:
-                keep.append(pts[n - 1])
-            queues[qi] = keep
-        if not dens:
-            break
-        invs = batch_inv_mod(dens, P)
-        for qi, p1, p2, inv in zip(qis, lhs, rhs, invs):
-            x1, y1 = p1
-            x2, y2 = p2
-            if x1 == x2:
-                slope = 3 * x1 * x1 % P * inv % P
-            else:
-                slope = (y2 - y1) * inv % P
-            nx = (slope * slope - x1 - x2) % P
-            queues[qi].append((nx, (slope * (x1 - nx) - y1) % P))
-        active = [qi for qi in active if len(queues[qi]) >= 2]
-    return [q[0] if q else None for q in queues]
-
-
-def batch_affine_pairwise_add(
-    lhs: Sequence[AffinePoint], rhs: Sequence[AffinePoint]
-) -> List[AffinePoint]:
-    """Elementwise ``lhs[i] + rhs[i]`` sharing one inversion across all the
-    independent additions (infinities pass through for free)."""
-    dens: List[int] = []
-    idxs: List[int] = []
-    out: List[AffinePoint] = [None] * len(lhs)
-    for i, (p1, p2) in enumerate(zip(lhs, rhs)):
-        if p1 is None:
-            out[i] = p2
-            continue
-        if p2 is None:
-            out[i] = p1
-            continue
-        if p1[0] == p2[0] and (p1[1] + p2[1]) % P == 0:
-            continue  # cancels to infinity
-        idxs.append(i)
-        dens.append(2 * p1[1] if p1[0] == p2[0] else p2[0] - p1[0])
-    if not dens:
-        return out
-    invs = batch_inv_mod(dens, P)
-    for i, inv in zip(idxs, invs):
-        x1, y1 = lhs[i]
-        x2, y2 = rhs[i]
-        if x1 == x2:
-            slope = 3 * x1 * x1 % P * inv % P
-        else:
-            slope = (y2 - y1) * inv % P
-        nx = (slope * slope - x1 - x2) % P
-        out[i] = (nx, (slope * (x1 - nx) - y1) % P)
-    return out
-
-
-def batch_affine_weighted_bucket_sums(
-    bucket_sets: Sequence[Sequence[AffinePoint]],
-) -> List[AffinePoint]:
-    """For each bucket array compute ``sum_d (d+1) * buckets[d]`` — the
-    Pippenger window aggregation — running every array's suffix-sum sweep in
-    lockstep so each step's additions share a single batched inversion."""
-    if not bucket_sets:
-        return []
-    width = len(bucket_sets)
-    length = len(bucket_sets[0])
-    running: List[AffinePoint] = [None] * width
-    totals: List[AffinePoint] = [None] * width
-    for d in range(length - 1, -1, -1):
-        running = batch_affine_pairwise_add(
-            running, [bs[d] for bs in bucket_sets]
-        )
-        totals = batch_affine_pairwise_add(totals, running)
-    return totals
-
-
-def batch_affine_sum(points: Sequence[AffinePoint]) -> AffinePoint:
-    """Sum one list of affine points via :func:`batch_affine_reduce`."""
-    return batch_affine_reduce([points])[0]
-
-
 def _jac_mul(pt: JacPoint, scalar: int) -> JacPoint:
     """Left-to-right 4-bit windowed scalar multiplication."""
     if scalar == 0 or pt[2] == 0:
@@ -366,103 +260,168 @@ def _jac_mul(pt: JacPoint, scalar: int) -> JacPoint:
     return result
 
 
-# --------------------------------------------------------------------------
-# Jacobian coordinates over extension fields (Fq2 / Fq12), for G2.
-# --------------------------------------------------------------------------
-
-def _ext_jac_double(pt):
-    x, y, z = pt
-    if z is None or y.is_zero():
-        return (x, y, None)
-    ysq = y * y
-    s = x * ysq * 4
-    m = x * x * 3
-    nx = m * m - s * 2
-    ny = m * (s - nx) - ysq * ysq * 8
-    nz = y * z * 2
-    return (nx, ny, nz)
-
-
-def _ext_jac_add(p1, p2):
-    if p1[2] is None:
-        return p2
-    if p2[2] is None:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = z1 * z1
-    z2z2 = z2 * z2
-    u1 = x1 * z2z2
-    u2 = x2 * z1z1
-    s1 = y1 * z2 * z2z2
-    s2 = y2 * z1 * z1z1
-    if u1 == u2:
-        if s1 != s2:
-            return (x1, y1, None)
-        return _ext_jac_double(p1)
-    h = u2 - u1
-    i = (h * 2) * (h * 2)
-    j = h * i
-    r = (s2 - s1) * 2
-    v = u1 * i
-    nx = r * r - j - v * 2
-    ny = r * (v - nx) - s1 * j * 2
-    nz = z1 * z2 * h * 2
-    return (nx, ny, nz)
-
-
-def _wnaf_digits(scalar: int, w: int) -> List[int]:
-    """Width-``w`` NAF: odd digits in ``(-2^(w-1), 2^(w-1))`` separated by
-    at least ``w - 1`` zeros, so only ``~254/w`` additions are needed."""
-    digits: List[int] = []
-    half = 1 << (w - 1)
-    full = 1 << w
-    while scalar:
-        if scalar & 1:
-            d = scalar & (full - 1)
-            if d >= half:
-                d -= full
-            scalar -= d
+def _g1_pairwise_add(
+    lhs: Sequence[AffinePoint], rhs: Sequence[AffinePoint]
+) -> List[AffinePoint]:
+    """Elementwise ``lhs[i] + rhs[i]`` over G1 sharing one inversion across
+    all the independent additions.  Infinities pass through (their
+    placeholder denominator 1 keeps the two passes aligned) and
+    ``P + (-P)`` gives ``None``."""
+    dens: List[int] = []
+    for p1, p2 in zip(lhs, rhs):
+        if p1 is None or p2 is None:
+            dens.append(1)
+        elif p1[0] != p2[0]:
+            dens.append(p2[0] - p1[0])
         else:
-            d = 0
-        digits.append(d)
-        scalar >>= 1
-    return digits
+            # Doubling needs 2y; a cancelling pair gets a placeholder.
+            dens.append(2 * p1[1] if (p1[1] + p2[1]) % P else 1)
+    out: List[AffinePoint] = []
+    for p1, p2, inv in zip(lhs, rhs, batch_inv_mod(dens, P)):
+        if p1 is None:
+            out.append(p2)
+            continue
+        if p2 is None:
+            out.append(p1)
+            continue
+        x1, y1 = p1
+        x2, y2 = p2
+        if x1 != x2:
+            slope = (y2 - y1) * inv % P
+        elif (y1 + y2) % P:
+            slope = 3 * x1 * x1 % P * inv % P
+        else:
+            out.append(None)
+            continue
+        nx = (slope * slope - x1 - x2) % P
+        out.append((nx, (slope * (x1 - nx) - y1) % P))
+    return out
 
 
-def _ext_jac_mul(point, scalar: int):
-    """wNAF scalar multiplication over extension-field Jacobian points:
-    one doubling per bit plus ~254/4 additions from an odd-multiples table
-    (extension-field additions are expensive, so the window pays off fast).
+def _g1_neg(point: Tuple[int, int]) -> Tuple[int, int]:
+    return (point[0], -point[1] % P)
+
+
+def _identity(point):
+    return point
+
+
+class GroupOps(NamedTuple):
+    """What the MSM layer needs from one group, on int tuples.
+
+    Affine points are ``(x, y)`` in G1 and ``(x0, x1, y0, y1)`` in G2, with
+    ``None`` for infinity; ``decode``/``encode`` convert from and to the
+    public point type (the identity for G1, ``(Fq2, Fq2)`` for G2);
+    ``coords`` is the number of ints in an affine point.
     """
-    one = type(point[0]).one()
-    if scalar == 0:
-        return (one, one, None)
-    w = 4
-    base = (point[0], point[1], one)
-    dbl = _ext_jac_double(base)
-    # Odd multiples 1P, 3P, ..., (2^(w-1) - 1)P.
-    odd = [base]
-    for _ in range((1 << (w - 2)) - 1):
-        odd.append(_ext_jac_add(odd[-1], dbl))
-    result = (one, one, None)
-    for d in reversed(_wnaf_digits(scalar, w)):
-        result = _ext_jac_double(result)
-        if d > 0:
-            result = _ext_jac_add(result, odd[d >> 1])
-        elif d < 0:
-            x, y, z = odd[(-d) >> 1]
-            result = _ext_jac_add(result, (x, -y, z))
-    return result
+
+    jac_infinity: tuple
+    to_jac: Callable
+    to_affine: Callable
+    jac_double: Callable
+    jac_add: Callable
+    jac_add_affine: Callable
+    jac_mul: Callable
+    normalize_batch: Callable
+    pairwise_add: Callable
+    neg: Callable
+    decode: Callable
+    encode: Callable
+    coords: int
 
 
-def _ext_jac_to_affine(pt) -> AffinePoint:
-    x, y, z = pt
-    if z is None:
-        return None
-    z_inv = z.inv()
-    z2 = z_inv * z_inv
-    return (x * z2, y * z2 * z_inv)
+G1_OPS = GroupOps(
+    JAC_INFINITY, _affine_to_jac, _jac_to_affine, _jac_double, _jac_add,
+    _jac_add_affine, _jac_mul, _jac_normalize_batch, _g1_pairwise_add,
+    _g1_neg, _identity, _identity, 2,
+)
+G2_OPS = GroupOps(
+    _g2.JAC_INFINITY, _g2.affine_to_jac, _g2.jac_to_affine, _g2.jac_double,
+    _g2.jac_add, _g2.jac_add_affine, _g2.jac_mul, _g2.jac_normalize_batch,
+    _g2.batch_affine_pairwise_add, _g2.neg, _g2.to_ints, _g2.from_ints, 4,
+)
+
+
+def group_of(point) -> GroupOps:
+    """The group of a (non-infinity) point: G1 points are ``(x, y)`` ints,
+    G2 points ``(Fq2, Fq2)`` or, inside the MSM layer, 4 ints."""
+    if len(point) == 2 and isinstance(point[0], int):
+        return G1_OPS
+    return G2_OPS
+
+
+def _group_of_any(points) -> GroupOps:
+    for pt in points:
+        if pt is not None:
+            return group_of(pt)
+    return G1_OPS
+
+
+def batch_affine_pairwise_add(
+    lhs: Sequence[AffinePoint], rhs: Sequence[AffinePoint]
+) -> List[AffinePoint]:
+    """Elementwise ``lhs[i] + rhs[i]`` (int-tuple points of either group)
+    sharing one field inversion across all the independent additions."""
+    return _group_of_any(chain(lhs, rhs)).pairwise_add(lhs, rhs)
+
+
+def batch_affine_reduce(
+    groups: Sequence[Sequence[AffinePoint]],
+) -> List[AffinePoint]:
+    """Sum each group of affine points using batched-inversion affine adds.
+
+    An affine addition costs one field inversion plus ~6 multiplications;
+    Montgomery's trick shares a single inversion across every independent
+    addition in a round.  Each group is reduced as a binary tree, so all
+    groups finish in ``O(log max_group)`` rounds and the per-addition cost
+    approaches ~9 multiplications — versus ~16 for a Jacobian addition
+    (plus the final normalisation inversions a Jacobian accumulator needs).
+    """
+    queues: List[List[AffinePoint]] = [
+        [pt for pt in grp if pt is not None] for grp in groups
+    ]
+    add_pairs = _group_of_any(q[0] for q in queues if q).pairwise_add
+    active = [qi for qi, q in enumerate(queues) if len(q) >= 2]
+    while active:
+        qis: List[int] = []
+        lhs: List[AffinePoint] = []
+        rhs: List[AffinePoint] = []
+        for qi in active:
+            pts = queues[qi]
+            n = len(pts)
+            qis += [qi] * (n >> 1)
+            lhs += pts[0:n - 1:2]
+            rhs += pts[1:n:2]
+            queues[qi] = [pts[-1]] if n & 1 else []
+        for qi, pt in zip(qis, add_pairs(lhs, rhs)):
+            if pt is not None:  # None: the pair cancelled to infinity
+                queues[qi].append(pt)
+        active = [qi for qi in active if len(queues[qi]) >= 2]
+    return [q[0] if q else None for q in queues]
+
+
+def batch_affine_weighted_bucket_sums(
+    bucket_sets: Sequence[Sequence[AffinePoint]],
+) -> List[AffinePoint]:
+    """For each bucket array compute ``sum_d (d+1) * buckets[d]`` — the
+    Pippenger window aggregation — running every array's suffix-sum sweep in
+    lockstep so each step's additions share a single batched inversion."""
+    if not bucket_sets:
+        return []
+    add_pairs = _group_of_any(pt for bs in bucket_sets for pt in bs).pairwise_add
+    width = len(bucket_sets)
+    length = len(bucket_sets[0])
+    running: List[AffinePoint] = [None] * width
+    totals: List[AffinePoint] = [None] * width
+    for d in range(length - 1, -1, -1):
+        running = add_pairs(running, [bs[d] for bs in bucket_sets])
+        totals = add_pairs(totals, running)
+    return totals
+
+
+def batch_affine_sum(points: Sequence[AffinePoint]) -> AffinePoint:
+    """Sum one list of affine points via :func:`batch_affine_reduce`."""
+    return batch_affine_reduce([points])[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Fixed-base scalar multiplication: precomputed window tables over G1.
+"""Fixed-base scalar multiplication: precomputed window tables over G1/G2.
 
 The prover's hottest MSMs run over *fixed* generator vectors — the Pedersen
 generators behind every Hyrax row commitment, and the Groth16 proving-key
-queries, which are reused across proofs.  Precomputing shifted multiples of
-each base turns those MSMs into pure table lookups:
+queries (G1 and G2), which are reused across proofs.  Precomputing shifted
+multiples of each base turns those MSMs into pure table lookups:
 
 * :class:`FixedBaseTable` — a dense digit table for one heavily reused point
-  (the Pedersen blinder generator, the G1 generator).  A scalar mul becomes
-  ``~254/w`` mixed additions with **no doublings**.
+  (the Pedersen blinder generator, the G1 and G2 generators in the trusted
+  setup).  A scalar mul becomes ``~254/w`` mixed additions with **no
+  doublings**.
 * :class:`FixedBaseMSM` — per base point, the shifted copies
   ``2^(i*w) * P_j``.  An MSM then scatters signed digits into a *single*
   shared bucket space (the window shift is baked into the point, so digits
@@ -16,31 +17,65 @@ each base turns those MSMs into pure table lookups:
 * :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
   the first sighting of a base vector uses the generic Pippenger MSM, the
   second builds tables.  One-shot callers never pay the precompute.
+
+Everything here takes its group from the points it is given (see
+:class:`~repro.curve.bn254.GroupOps`).  G2 bases are converted to int
+tuples once, when a table is built, and results convert back.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..field.extension import P as _FQ
 from .bn254 import (
-    JAC_INFINITY,
+    G1_OPS,
     AffinePoint,
     CURVE_ORDER,
-    JacPoint,
-    _affine_to_jac,
-    _jac_add,
-    _jac_add_affine,
-    _jac_double,
-    _jac_normalize_batch,
-    _jac_to_affine,
+    GroupOps,
+    _group_of_any,
     batch_affine_reduce,
     batch_affine_weighted_bucket_sums,
+    group_of,
 )
 from .msm import msm as _generic_msm
 from .msm import signed_digits
 
 _SCALAR_BITS = CURVE_ORDER.bit_length()
+
+_G1_MSM_WINDOW = 8
+
+
+def _msm_window(ops: GroupOps, n: int) -> int:
+    """Window of a :class:`FixedBaseMSM` over ``n`` bases.
+
+    An MSM costs about ``n * 254/w`` batched bucket insertions plus
+    ``2^w`` Jacobian additions to aggregate the buckets.  G1 keeps w=8
+    throughout.  A G2 Jacobian addition costs ~3x a G1 one, so at the base
+    counts of small proving keys the aggregation term shows: measured
+    (CPython 3.11, x86-64) w=6 is fastest below 32 G2 bases, w=7 below
+    128 and w=8 from there on.
+    """
+    if ops is G1_OPS:
+        return _G1_MSM_WINDOW
+    if n < 32:
+        return 6
+    if n < 128:
+        return 7
+    return 8
+
+
+def _num_windows(window: int) -> int:
+    """Signed-digit windows covering a reduced scalar plus its carry."""
+    return (_SCALAR_BITS + window) // window + 1
+
+
+def table_cost(points: Sequence[AffinePoint]) -> int:
+    """Memory of the :class:`FixedBaseMSM` over ``points`` in units of one
+    G1 base's table — the unit of the cache's table budget."""
+    ops = _group_of_any(points)
+    ints = _num_windows(_msm_window(ops, len(points))) * ops.coords
+    unit = _num_windows(_G1_MSM_WINDOW) * G1_OPS.coords
+    return -(-len(points) * ints // unit)
 
 
 class FixedBaseTable:
@@ -56,19 +91,21 @@ class FixedBaseTable:
         self.point = point
         self.window = window
         self.num_windows = (_SCALAR_BITS + window - 1) // window
-        self.tables: List[List[AffinePoint]] = []
+        self.tables: List[List[tuple]] = []
         if point is None:
             return
+        self.ops = ops = group_of(point)
+        add = ops.jac_add
         digits_per_window = (1 << window) - 1
-        jacs: List[JacPoint] = []
-        base = _affine_to_jac(point)
+        jacs: List[tuple] = []
+        base = ops.to_jac(ops.decode(point))
         for _ in range(self.num_windows):
             acc = base
             for _d in range(digits_per_window):
                 jacs.append(acc)
-                acc = _jac_add(acc, base)
+                acc = add(acc, base)
             base = acc  # (2^w - 1) * base + base = 2^w * base
-        flat = _jac_normalize_batch(jacs)
+        flat = ops.normalize_batch(jacs)
         self.tables = [
             flat[i * digits_per_window:(i + 1) * digits_per_window]
             for i in range(self.num_windows)
@@ -79,16 +116,18 @@ class FixedBaseTable:
         scalar %= CURVE_ORDER
         if scalar == 0 or self.point is None:
             return None
+        ops = self.ops
+        add_affine = ops.jac_add_affine
         mask = (1 << self.window) - 1
-        acc: JacPoint = JAC_INFINITY
+        acc = ops.jac_infinity
         i = 0
         while scalar:
             d = scalar & mask
             if d:
-                acc = _jac_add_affine(acc, self.tables[i][d - 1])
+                acc = add_affine(acc, self.tables[i][d - 1])
             scalar >>= self.window
             i += 1
-        return _jac_to_affine(acc)
+        return ops.encode(ops.to_affine(acc))
 
 
 class FixedBaseMSM:
@@ -96,20 +135,24 @@ class FixedBaseMSM:
     buckets.
 
     Per base only the shifted copies ``2^(i*w) * P_j`` are stored (33 points
-    at w=8), built with a doubling chain and one batched normalisation.
-    Because each window's shift lives in the precomputed point, the digits
-    of *every* window land in one bucket space of ``2^(w-1)`` signed
-    buckets; the whole MSM is ``n * 254/w`` batch-affine bucket insertions
-    plus a single aggregation sweep.
+    at G1's w=8), built with a doubling chain and one batched
+    normalisation.  Because each window's shift lives in the precomputed
+    point, the digits of *every* window land in one bucket space of
+    ``2^(w-1)`` signed buckets; the whole MSM is ``n * 254/w`` batch-affine
+    bucket insertions plus a single aggregation sweep.  ``window`` defaults
+    to the group's choice for the initial base count.
     """
 
     def __init__(
-        self, points: Sequence[AffinePoint] = (), window: int = 8
+        self, points: Sequence[AffinePoint] = (), window: Optional[int] = None
     ):
+        self.ops = _group_of_any(points)
+        if window is None:
+            window = _msm_window(self.ops, len(points))
         self.window = window
         self.half = 1 << (window - 1)
-        self.num_windows = (_SCALAR_BITS + window) // window + 1
-        self.shifted: List[Optional[List[AffinePoint]]] = []
+        self.num_windows = _num_windows(window)
+        self.shifted: List[Optional[List[tuple]]] = []
         if points:
             self.extend(points)
 
@@ -118,17 +161,19 @@ class FixedBaseMSM:
 
     def extend(self, points: Sequence[AffinePoint]) -> None:
         """Append precomputed rows for ``points``."""
-        jacs: List[JacPoint] = []
+        ops = self.ops
+        double = ops.jac_double
+        jacs: List[tuple] = []
         for pt in points:
             if pt is None:
                 continue
-            cur = _affine_to_jac(pt)
+            cur = ops.to_jac(ops.decode(pt))
             for i in range(self.num_windows):
                 jacs.append(cur)
                 if i + 1 < self.num_windows:
                     for _ in range(self.window):
-                        cur = _jac_double(cur)
-        flat = _jac_normalize_batch(jacs)
+                        cur = double(cur)
+        flat = ops.normalize_batch(jacs)
         offset = 0
         for pt in points:
             if pt is None:
@@ -139,11 +184,11 @@ class FixedBaseMSM:
 
     def _fill_groups(
         self,
-        groups: List[List[Tuple[int, int]]],
+        groups: List[List[tuple]],
         scalars: Sequence[int],
         base: int,
     ) -> None:
-        w, nw, half = self.window, self.num_windows, self.half
+        w, nw, neg = self.window, self.num_windows, self.ops.neg
         for j, sc in enumerate(scalars):
             sc %= CURVE_ORDER
             row = self.shifted[j]
@@ -153,25 +198,28 @@ class FixedBaseMSM:
                 if d > 0:
                     groups[base + d - 1].append(row[i])
                 elif d:
-                    pt = row[i]
-                    groups[base - d - 1].append((pt[0], -pt[1] % _FQ))
+                    groups[base - d - 1].append(neg(row[i]))
 
     def msm(self, scalars: Sequence[int]) -> AffinePoint:
         """``sum_j scalars[j] * P_j`` (scalars may be a prefix)."""
         if len(scalars) > len(self.shifted):
             raise ValueError("more scalars than precomputed bases")
-        groups: List[List[Tuple[int, int]]] = [[] for _ in range(self.half)]
+        ops = self.ops
+        groups: List[List[tuple]] = [[] for _ in range(self.half)]
         self._fill_groups(groups, scalars, 0)
         buckets = batch_affine_reduce(groups)
-        running: JacPoint = JAC_INFINITY
-        total: JacPoint = JAC_INFINITY
+        infinity, add, add_affine = (
+            ops.jac_infinity, ops.jac_add, ops.jac_add_affine
+        )
+        running = infinity
+        total = infinity
         for d in range(self.half - 1, -1, -1):
             b = buckets[d]
             if b is not None:
-                running = _jac_add_affine(running, b)
-            if running != JAC_INFINITY:
-                total = _jac_add(total, running)
-        return _jac_to_affine(total)
+                running = add_affine(running, b)
+            if running != infinity:
+                total = add(total, running)
+        return ops.encode(ops.to_affine(total))
 
     def msm_many(
         self, scalar_rows: Sequence[Sequence[int]]
@@ -181,7 +229,7 @@ class FixedBaseMSM:
         inversion cost is shared across the whole matrix (this is the Hyrax
         row-commitment hot path)."""
         half = self.half
-        groups: List[List[Tuple[int, int]]] = [
+        groups: List[List[tuple]] = [
             [] for _ in range(len(scalar_rows) * half)
         ]
         for r, row in enumerate(scalar_rows):
@@ -189,9 +237,10 @@ class FixedBaseMSM:
                 raise ValueError("more scalars than precomputed bases")
             self._fill_groups(groups, row, r * half)
         buckets = batch_affine_reduce(groups)
-        return batch_affine_weighted_bucket_sums(
+        sums = batch_affine_weighted_bucket_sums(
             [buckets[r * half:(r + 1) * half] for r in range(len(scalar_rows))]
         )
+        return [self.ops.encode(pt) for pt in sums]
 
 
 class _CacheEntry:
@@ -203,14 +252,16 @@ class _CacheEntry:
         self.hits = 0
 
 
-# LRU keyed by caller label; sized for ~6 proving keys (4 labels each)
+# LRU keyed by caller label; sized for ~6 proving keys (5 labels each)
 # resident at once so rotating among a few keys never churns out a
 # half-promoted entry or a built table.  A second, size-based bound caps
-# the total bases held by *promoted* entries: each promoted base pins ~33
-# affine tuples of window table, so without it a few huge proving keys
-# could pin gigabytes for the life of the process.
+# the total table footprint of *promoted* entries, in units of one G1
+# base's table (see :func:`table_cost`): each promoted G1 base pins ~33
+# affine tuples of window table, a G2 base two to three times the ints, so
+# without it a few huge proving keys could pin gigabytes for the life of
+# the process.
 _FIXED_BASE_CACHE: Dict[object, _CacheEntry] = {}
-_CACHE_LIMIT = 24
+_CACHE_LIMIT = 30
 _CACHE_TABLE_POINT_LIMIT = 1 << 14
 
 
@@ -288,7 +339,7 @@ def _evict_oversized_tables(keep: _CacheEntry) -> None:
     """Drop the least-recently-used *promoted* entries until the total
     table footprint fits the point budget (the newest table always stays)."""
     total = sum(
-        len(e.points) for e in _FIXED_BASE_CACHE.values() if e.table
+        table_cost(e.points) for e in _FIXED_BASE_CACHE.values() if e.table
     )
     if total <= _CACHE_TABLE_POINT_LIMIT:
         return
@@ -296,7 +347,7 @@ def _evict_oversized_tables(keep: _CacheEntry) -> None:
         e = _FIXED_BASE_CACHE[lbl]
         if e.table is None or e is keep:
             continue
-        total -= len(e.points)
+        total -= table_cost(e.points)
         del _FIXED_BASE_CACHE[lbl]
         if total <= _CACHE_TABLE_POINT_LIMIT:
             return

@@ -1,4 +1,4 @@
-"""Multi-scalar multiplication (Pippenger bucket method) over BN254 G1.
+"""Multi-scalar multiplication (Pippenger bucket method) over BN254 G1/G2.
 
 MSM dominates Groth16's prover cost, so it gets a real algorithm rather than
 a naive loop.  Two variants live here:
@@ -16,25 +16,22 @@ With ``n`` points and window size ``c`` the cost is roughly
 ``(254/c) * n`` batched affine additions plus ``(254/c) * 2^c`` Jacobian
 additions for the bucket aggregation, instead of ``254 * n / 2`` doublings
 and additions for naive double-and-add per point.
+
+Both groups share the code: the group comes from the points (see
+:class:`~repro.curve.bn254.GroupOps`).  G2 points are converted to int
+tuples once on the way in and the result back on the way out.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..field.extension import P as _FQ
 from .bn254 import (
-    JAC_INFINITY,
     AffinePoint,
     CURVE_ORDER,
-    JacPoint,
-    _affine_to_jac,
-    _jac_add,
-    _jac_add_affine,
-    _jac_double,
-    _jac_to_affine,
     batch_affine_reduce,
     batch_affine_weighted_bucket_sums,
+    group_of,
 )
 
 _SCALAR_BITS = CURVE_ORDER.bit_length()
@@ -98,14 +95,14 @@ def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
 
 
 def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
-    """``sum_i scalars[i] * points[i]`` over G1.
+    """``sum_i scalars[i] * points[i]`` over G1 or G2.
 
     ``None`` points and zero scalars are skipped.  The scalar list is reduced
     mod the curve order first.
     """
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have equal length")
-    pts: List[Tuple[int, int]] = []
+    pts: List[tuple] = []
     scs: List[int] = []
     for pt, sc in zip(points, scalars):
         sc %= CURVE_ORDER
@@ -115,16 +112,19 @@ def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
         scs.append(sc)
     if not pts:
         return None
+    ops = group_of(pts[0])
+    decode = ops.decode
+    pts = [decode(pt) for pt in pts]
     if len(pts) == 1:
-        return _jac_to_affine(_jac_mul_simple(_affine_to_jac(pts[0]), scs[0]))
-    if len(pts) < _BATCH_AFFINE_MSM_THRESHOLD:
-        return _msm_jacobian(pts, scs)
-    return _msm_batch_affine(pts, scs)
+        acc = ops.to_affine(ops.jac_mul(ops.to_jac(pts[0]), scs[0]))
+    elif len(pts) < _BATCH_AFFINE_MSM_THRESHOLD:
+        acc = _msm_jacobian(pts, scs)
+    else:
+        acc = _msm_batch_affine(pts, scs)
+    return ops.encode(acc)
 
 
-def _msm_batch_affine(
-    pts: List[Tuple[int, int]], scs: List[int]
-) -> AffinePoint:
+def _msm_batch_affine(pts: List[tuple], scs: List[int]) -> AffinePoint:
     """Signed-digit Pippenger with batch-affine buckets.
 
     All windows' buckets are filled and reduced in one
@@ -132,80 +132,70 @@ def _msm_batch_affine(
     inversion is shared across; only the per-window aggregation and the
     window-combining doublings stay in Jacobian coordinates.
     """
+    ops = group_of(pts[0])
     c = _signed_window_size(len(pts))
     half = 1 << (c - 1)
     num_windows = (_SCALAR_BITS + c) // c + 1
+    neg = ops.neg
     # groups[w * half + (|d| - 1)] collects points with digit d in window w.
-    groups: List[List[Tuple[int, int]]] = [
-        [] for _ in range(num_windows * half)
-    ]
+    groups: List[List[tuple]] = [[] for _ in range(num_windows * half)]
     for pt, sc in zip(pts, scs):
         base = 0
         for d in signed_digits(sc, c, num_windows):
             if d > 0:
                 groups[base + d - 1].append(pt)
             elif d < 0:
-                groups[base - d - 1].append((pt[0], -pt[1] % _FQ))
+                groups[base - d - 1].append(neg(pt))
             base += half
     buckets = batch_affine_reduce(groups)
     window_sums = batch_affine_weighted_bucket_sums(
         [buckets[w * half:(w + 1) * half] for w in range(num_windows)]
     )
 
-    result: JacPoint = JAC_INFINITY
+    infinity, double, add_affine = (
+        ops.jac_infinity, ops.jac_double, ops.jac_add_affine
+    )
+    result = infinity
     for w in range(num_windows - 1, -1, -1):
-        if result != JAC_INFINITY:
+        if result != infinity:
             for _ in range(c):
-                result = _jac_double(result)
+                result = double(result)
         if window_sums[w] is not None:
-            result = _jac_add_affine(result, window_sums[w])
-    return _jac_to_affine(result)
+            result = add_affine(result, window_sums[w])
+    return ops.to_affine(result)
 
 
-def _msm_jacobian(
-    pts: List[Tuple[int, int]], scs: List[int]
-) -> AffinePoint:
+def _msm_jacobian(pts: List[tuple], scs: List[int]) -> AffinePoint:
     """Classic unsigned-window Pippenger in Jacobian coordinates."""
+    ops = group_of(pts[0])
     c = _window_size(len(pts))
     num_windows = (_SCALAR_BITS + c - 1) // c
     mask = (1 << c) - 1
-    jacs = [_affine_to_jac(pt) for pt in pts]
+    infinity, double, add = ops.jac_infinity, ops.jac_double, ops.jac_add
+    jacs = [ops.to_jac(pt) for pt in pts]
 
-    result: JacPoint = JAC_INFINITY
+    result = infinity
     for w in range(num_windows - 1, -1, -1):
-        if result != JAC_INFINITY:
+        if result != infinity:
             for _ in range(c):
-                result = _jac_double(result)
-        buckets: List[Optional[JacPoint]] = [None] * (1 << c)
+                result = double(result)
+        buckets: List[Optional[tuple]] = [None] * (1 << c)
         shift = w * c
         for jac, sc in zip(jacs, scs):
             digit = (sc >> shift) & mask
             if digit:
                 cur = buckets[digit]
-                buckets[digit] = jac if cur is None else _jac_add(cur, jac)
-        running: Optional[JacPoint] = None
-        window_sum: Optional[JacPoint] = None
+                buckets[digit] = jac if cur is None else add(cur, jac)
+        running: Optional[tuple] = None
+        window_sum: Optional[tuple] = None
         for digit in range(len(buckets) - 1, 0, -1):
             b = buckets[digit]
             if b is not None:
-                running = b if running is None else _jac_add(running, b)
+                running = b if running is None else add(running, b)
             if running is not None:
                 window_sum = (
-                    running
-                    if window_sum is None
-                    else _jac_add(window_sum, running)
+                    running if window_sum is None else add(window_sum, running)
                 )
         if window_sum is not None:
-            result = _jac_add(result, window_sum)
-    return _jac_to_affine(result)
-
-
-def _jac_mul_simple(pt: JacPoint, scalar: int) -> JacPoint:
-    result = JAC_INFINITY
-    addend = pt
-    while scalar:
-        if scalar & 1:
-            result = _jac_add(result, addend)
-        addend = _jac_double(addend)
-        scalar >>= 1
-    return result
+            result = add(result, window_sum)
+    return ops.to_affine(result)

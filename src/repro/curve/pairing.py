@@ -41,6 +41,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from ..field.extension import Fq2, Fq12, P
 from .bn254 import B2, AffinePoint, is_on_curve
+from .g2 import _f2_inv, _f2_mul
 
 #: the BN254 curve parameter ``u``
 BN_U = 4965661367192848881
@@ -107,20 +108,9 @@ FQ12_ONE: Fq12Tower = (1,) + (0,) * 11
 
 
 # --------------------------------------------------------------------------
-# Fq2 / Fq6 helpers.  Inputs may be unreduced; Fq6 outputs are reduced.
+# Fq6 helpers (Fq2 ones from g2.py).  Inputs may be unreduced; Fq6
+# outputs are reduced.
 # --------------------------------------------------------------------------
-
-def _f2_mul(a, b, c, d) -> Tuple[int, int]:
-    """(a + bu)(c + du), reduced."""
-    t0 = a * c
-    t1 = b * d
-    return (t0 - t1) % P, ((a + b) * (c + d) - t0 - t1) % P
-
-
-def _f2_inv(a, b) -> Tuple[int, int]:
-    n = pow((a * a + b * b) % P, -1, P)
-    return a * n % P, -b * n % P
-
 
 def _fq6_mul(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
     """Karatsuba product in Fq6 (6 Fq2 multiplications)."""

@@ -39,7 +39,7 @@ def inv_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in prime field")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def batch_inv_mod(values: Sequence[int], p: int) -> List[int]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import secrets
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..curve.bn254 import CURVE_ORDER, add, g1_generator, multiply, neg
+from ..curve.bn254 import CURVE_ORDER, add, multiply, neg
 from ..curve.fixed_base import fixed_base_msm
 from ..field import vector as _vector
 from ..field.ntt import (
@@ -202,12 +202,10 @@ def prove(
     r = rng() % R
     s = rng() % R
 
-    g1 = g1_generator()
-
     # The query bases are fixed per proving key and reused across proofs,
-    # so the four G1 MSMs go through the fixed-base cache: the second proof
-    # under the same key builds window tables and every later MSM runs with
-    # no doublings at all.  Labels carry the key's content fingerprint, so
+    # so all five MSMs (four in G1, one in G2) go through the fixed-base
+    # cache: the second proof under the same key builds window tables and
+    # every later MSM runs with no doublings at all.  Labels carry the key's content fingerprint, so
     # a rehydrated copy of the same key (a pool worker reloading it from
     # the KeyStore) lands on the same cache slot and keeps the warm
     # tables; the cache's own content check on the points list resets any
@@ -218,10 +216,7 @@ def prove(
     pi_a = add(add(pk.alpha_g1, a_acc), multiply(pk.delta_g1, r))
 
     # pi_B (G2) = beta + sum c_i v_i(tau) + s*delta ; G1 copy for pi_C.
-    b_acc_g2 = None
-    for point, value in zip(pk.b_g2_query, assignment):
-        if point is not None and value % R:
-            b_acc_g2 = add(b_acc_g2, multiply(point, value))
+    b_acc_g2 = fixed_base_msm(("groth16-b2", fp), pk.b_g2_query, assignment)
     pi_b = add(add(pk.beta_g2, b_acc_g2), multiply(pk.delta_g2, s))
     b_acc_g1 = fixed_base_msm(("groth16-b1", fp), pk.b_g1_query, assignment)
     pi_b_g1 = add(add(pk.beta_g1, b_acc_g1), multiply(pk.delta_g1, s))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import secrets
 from typing import Callable, Optional
 
-from ..curve.bn254 import CURVE_ORDER, g1_generator, g2_generator, multiply
+from ..curve.bn254 import CURVE_ORDER, g1_generator, g2_generator
+from ..curve.fixed_base import FixedBaseTable
 from ..field.prime_field import inv_mod
 from ..qap.qap import evaluate_qap_at
 from ..r1cs.system import R1CSInstance
@@ -48,39 +49,42 @@ def setup(
 
     qap = evaluate_qap_at(instance, tau)
 
-    g1 = g1_generator()
-    g2 = g2_generator()
+    # Every CRS element is a multiple of one of the two generators, so
+    # each gets one dense fixed-base table: a scalar mul is then ~64 mixed
+    # additions and no doublings.
+    g1 = FixedBaseTable(g1_generator()).mul
+    g2 = FixedBaseTable(g2_generator()).mul
     gamma_inv = inv_mod(gamma, R)
     delta_inv = inv_mod(delta, R)
 
-    a_query = [multiply(g1, u) if u else None for u in qap.u]
-    b_g1_query = [multiply(g1, v) if v else None for v in qap.v]
-    b_g2_query = [multiply(g2, v) if v else None for v in qap.v]
+    a_query = [g1(u) if u else None for u in qap.u]
+    b_g1_query = [g1(v) if v else None for v in qap.v]
+    b_g2_query = [g2(v) if v else None for v in qap.v]
 
     ic = []
     for i in range(instance.num_public):
         val = (beta * qap.u[i] + alpha * qap.v[i] + qap.w[i]) % R
-        ic.append(multiply(g1, val * gamma_inv % R))
+        ic.append(g1(val * gamma_inv % R))
 
     k_query = []
     for i in range(instance.num_public, instance.num_wires):
         val = (beta * qap.u[i] + alpha * qap.v[i] + qap.w[i]) % R
-        k_query.append(multiply(g1, val * delta_inv % R) if val else None)
+        k_query.append(g1(val * delta_inv % R) if val else None)
 
     # [tau^i * t(tau) / delta]_1 for i = 0..N-2 (deg h <= N-2).
     h_query = []
     base = qap.t_at_tau * delta_inv % R
     power = 1
     for _ in range(qap.domain_size - 1):
-        h_query.append(multiply(g1, base * power % R))
+        h_query.append(g1(base * power % R))
         power = power * tau % R
 
     pk = ProvingKey(
-        alpha_g1=multiply(g1, alpha),
-        beta_g1=multiply(g1, beta),
-        beta_g2=multiply(g2, beta),
-        delta_g1=multiply(g1, delta),
-        delta_g2=multiply(g2, delta),
+        alpha_g1=g1(alpha),
+        beta_g1=g1(beta),
+        beta_g2=g2(beta),
+        delta_g1=g1(delta),
+        delta_g2=g2(delta),
         a_query=a_query,
         b_g1_query=b_g1_query,
         b_g2_query=b_g2_query,
@@ -92,7 +96,7 @@ def setup(
     vk = VerifyingKey(
         alpha_g1=pk.alpha_g1,
         beta_g2=pk.beta_g2,
-        gamma_g2=multiply(g2, gamma),
+        gamma_g2=g2(gamma),
         delta_g2=pk.delta_g2,
         ic=ic,
     )

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Dict, Optional
 
 from ..curve.bn254 import g1_generator, g2_generator, multiply
-from ..curve.fixed_base import FixedBaseMSM
+from ..curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from ..curve.msm import msm
 from ..curve.pairing import pairing
 from ..field.ntt import next_power_of_two, ntt
@@ -46,6 +46,8 @@ class PrimitiveRates:
     # their predictions use this rate; baseline stacks without the
     # precomputation keep the generic ``g1_msm_per_point_s``.
     g1_fixed_msm_per_point_s: float = 0.0
+    # The same for G2: the Groth16 prover's pi_B MSM over the B query.
+    g2_fixed_msm_per_point_s: float = 0.0
 
 
 def _best_of(fn, repeats: int = 3, timer=time.perf_counter) -> float:
@@ -88,6 +90,11 @@ def measure_rates() -> PrimitiveRates:
 
     g2_mul = _best_of(g2_muls) / 4
 
+    g2_table = FixedBaseTable(g2)
+    g2_pts = [g2_table.mul(i + 2) for i in range(64)]
+    g2_fb = FixedBaseMSM(g2_pts)
+    g2_fixed_msm = _best_of(lambda: g2_fb.msm(scs)) / 64
+
     xs = [(sc * i + 7) % R for i in range(4096)]
 
     def field_muls():
@@ -109,6 +116,7 @@ def measure_rates() -> PrimitiveRates:
         ntt_per_elem_s=ntt_per_elem,
         pairing_s=pairing_s,
         g1_fixed_msm_per_point_s=g1_fixed_msm,
+        g2_fixed_msm_per_point_s=g2_fixed_msm,
     )
 
 
@@ -136,12 +144,15 @@ class CostModel:
         g2_points = cost.b_wires
         ntt_elems = 9 * 2 * domain  # 3 intt + 3 coset-ntt + back, x2 size
         matvec = cost.terms
-        # The prover's G1 queries are fixed per proving key and served from
-        # cached window tables (see groth16/prove.py).
+        # The prover's queries (G1 and the G2 B query) are fixed per
+        # proving key and served from cached window tables (see
+        # groth16/prove.py); pi_B's s*delta term is one G2 scalar mult.
         msm_rate = r.g1_fixed_msm_per_point_s or r.g1_msm_per_point_s
+        g2_rate = r.g2_fixed_msm_per_point_s or r.g2_mul_s
         t = (
             msm_points * msm_rate
-            + g2_points * r.g2_mul_s
+            + g2_points * g2_rate
+            + r.g2_mul_s
             + ntt_elems * r.ntt_per_elem_s * max(1, math.log2(domain) / 12)
             + matvec * r.field_mul_s * 2
         )

@@ -143,3 +143,12 @@ def test_chaos_soak_runs_nightly_not_on_prs():
                for _, step in _run_steps(ci))
     assert any("tests/test_chaos.py" in step["run"]
                for _, step in _run_steps(nightly))
+
+
+def test_ci_runs_e2e_benchmark_tests():
+    """The e2e benchmark's own tests guard its trace points (named
+    functions it wraps from the outside) against renames in src/."""
+    ci = _load(os.path.join(WORKFLOW_DIR, "ci.yml"))
+    assert os.path.isdir(os.path.join(REPO_ROOT, "benchmarks", "e2e"))
+    assert any("pytest -q benchmarks/e2e" in step["run"]
+               for _, step in _run_steps(ci))
