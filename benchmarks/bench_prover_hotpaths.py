@@ -11,8 +11,10 @@ Times the dominant prover kernels on this machine:
   matvec;
 * **sumcheck** proving for table sizes 2^10..2^16 — the specialized
   ``prod2`` kernel and the naive reference prover;
-* **Hyrax commit** at 2^10 / 2^12 — the batched fixed-base path versus
-  per-row generic MSMs;
+* **Hyrax commit** at 2^10 / 2^12 on uniform 254-bit scalars — the
+  batched fixed-base path versus per-row generic MSMs — and at 2048
+  int8-shaped scalars (``"2048-int8"``: half of them negative, the
+  traffic the matmul workloads commit; timed in quick runs too);
 * **NTT** for sizes 2^8..2^14 — the planned (cached-twiddle) transform and
   the batched ``ntt_many`` path versus the naive serial-twiddle loop;
 * **Groth16 quotient** (``_compute_h``) for domain sizes 2^8..2^10 — the
@@ -68,7 +70,7 @@ from repro.field.ntt import naive_ntt, ntt, ntt_many  # noqa: E402
 from repro.field.prime_field import BN254_FR_MODULUS, batch_inv_mod  # noqa: E402
 from repro.groth16.prove import _compute_h, _compute_h_reference  # noqa: E402
 from repro.r1cs.system import R1CSInstance  # noqa: E402
-from repro.spartan.commitment import HyraxProver, generator_fixed_base  # noqa: E402
+from repro.spartan.commitment import HyraxProver, pedersen_table  # noqa: E402
 from repro.spartan.sumcheck import (  # noqa: E402
     sumcheck_prove,
     sumcheck_prove_reference,
@@ -83,6 +85,7 @@ MSM_SIZES = [1 << k for k in range(8, 15)]       # 2^8 .. 2^14
 FIELD_SIZES = [1 << k for k in range(8, 13)]      # 2^8 .. 2^12
 SUMCHECK_SIZES = [1 << k for k in range(10, 17)]  # 2^10 .. 2^16
 HYRAX_SIZES = [1 << 10, 1 << 12]
+HYRAX_INT8_SIZE = 1 << 11  # the 64x32 commit matrix of a 16x32x16 matmul
 NTT_SIZES = [1 << k for k in range(8, 15)]        # 2^8 .. 2^14
 QUOTIENT_SIZES = [1 << 8, 1 << 9, 1 << 10]        # Groth16 domain sizes
 G2_MSM_SIZES = [16, 32, 64]                      # Groth16 B-query sizes
@@ -172,23 +175,39 @@ def _naive_hyrax_commit(prover: HyraxProver) -> None:
             acc = add(acc, multiply(blinder_generator(), blind))
 
 
+def _int8_vector(rng: random.Random, n: int) -> List[int]:
+    """int8 entries with exactly half of them negative, like the e2e
+    benchmark's quantised matrices."""
+    negative = set(rng.sample(range(n), n // 2))
+    return [
+        -rng.randint(1, 128) if i in negative else rng.randint(0, 127)
+        for i in range(n)
+    ]
+
+
 def bench_hyrax(
     sizes=HYRAX_SIZES, repeats: int = 1
 ) -> Dict[str, Dict[str, float]]:
     rng = random.Random(0xC0FFEE)
+
+    def commit_rate(vec):
+        num_vars = len(vec).bit_length() - 1
+        prover = HyraxProver(vec, num_vars, rng=lambda: rng.randrange(R))
+        pedersen_table(1 << prover.col_vars)  # warm the shared table
+        return prover, len(vec) / _timed(lambda: prover.commit(), repeats)
+
     out: Dict[str, Dict[str, float]] = {}
     for n in sizes:
-        num_vars = n.bit_length() - 1
-        vec = [rng.randrange(R) for _ in range(n)]
-        prover = HyraxProver(vec, num_vars, rng=lambda: rng.randrange(R))
-        generator_fixed_base(1 << prover.col_vars)  # warm the shared tables
-        entry: Dict[str, float] = {}
-        entry["fast_ops_per_sec"] = n / _timed(lambda: prover.commit(), repeats)
+        prover, rate = commit_rate([rng.randrange(R) for _ in range(n)])
+        entry: Dict[str, float] = {"fast_ops_per_sec": rate}
         if n <= NAIVE_HYRAX_LIMIT:
             entry["naive_ops_per_sec"] = n / _timed(
                 lambda: _naive_hyrax_commit(prover), repeats
             )
         out[str(n)] = entry
+    # Own seed: the same vector whether or not the quick subset ran.
+    _, rate = commit_rate(_int8_vector(random.Random(0x1D8), HYRAX_INT8_SIZE))
+    out[f"{HYRAX_INT8_SIZE}-int8"] = {"fast_ops_per_sec": rate}
     return out
 
 
@@ -454,6 +473,13 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
     }
 
 
+def _size_order(key: str):
+    """Sort entry keys by their leading size (``"2048-int8"`` after
+    ``"2048"``)."""
+    size, _, variant = key.partition("-")
+    return int(size), variant
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=DEFAULT_OUT)
@@ -471,7 +497,7 @@ def main(argv=None) -> int:
     ):
         print(f"[{section}]")
         for size, entry in sorted(
-            results[section].items(), key=lambda kv: int(kv[0])
+            results[section].items(), key=lambda kv: _size_order(kv[0])
         ):
             parts = [f"{k}={v:,.0f}" for k, v in sorted(entry.items())]
             speed = ""

@@ -53,6 +53,9 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # exponentiation on its own, next to the full pairing and 4-pair product.
 # The g2_msm section gates the G2 MSMs (generic and fixed-base, the
 # Groth16 pi_B path) through the same ``fast``/``fixed_base`` metrics.
+# The hyrax_commit section's ``"2048-int8"`` entry gates the commit on
+# int8-shaped scalars (half negative), the traffic the matmul provers
+# serve, next to the uniform 254-bit sizes; quick runs time it too.
 _GATED_METRICS = (
     "fast_ops_per_sec",
     "fixed_base_ops_per_sec",

@@ -105,13 +105,15 @@ class ProofBackend(abc.ABC):
     ):
         return None
 
-    def warm(self, artifacts) -> None:
+    def warm(
+        self, artifacts, circuit: Optional[MatmulCircuit] = None
+    ) -> None:
         """Pre-build per-key prover caches ahead of a batch.
 
         Optional: callers that will prove several instances against one
-        key (pool workers serving a chunk) invoke this so the first
-        proofs don't pay the promote-on-reuse ramp of the fixed-base
-        cache.  Default is a no-op."""
+        key or circuit (pool workers serving a chunk) invoke this so the
+        first proofs don't pay for table construction mid-chunk.
+        Default is a no-op."""
 
 
 # -- Groth16 -------------------------------------------------------------------
@@ -226,7 +228,11 @@ class Groth16Backend(ProofBackend):
         instance = circuit.cs.specialize(circuit.packing_point())
         return Groth16Artifacts(keypair=keypair, instance=instance)
 
-    def warm(self, artifacts: Groth16Artifacts) -> None:
+    def warm(
+        self,
+        artifacts: Groth16Artifacts,
+        circuit: Optional[MatmulCircuit] = None,
+    ) -> None:
         """Build the fixed-base window tables for every PK query now.
 
         The labels mirror :func:`repro.groth16.prove.prove` exactly, so
@@ -344,6 +350,13 @@ class SpartanBackend(ProofBackend):
         return spartan.verify(
             instance, bundle.public_inputs(), bundle.proof, transcript
         )
+
+    def warm(self, artifacts, circuit: Optional[MatmulCircuit] = None) -> None:
+        """Build the Pedersen table rows this circuit's witness commitment
+        uses, so the first proof of a chunk does not extend it mid-job."""
+        if circuit is not None:
+            cs = circuit.cs
+            spartan.snark.warm(cs.num_public, cs.num_wires - cs.num_public)
 
     def export_vk(self, artifacts) -> bytes:
         return b""

@@ -135,7 +135,7 @@ def _prove_group_worker(keystore_root: Optional[str], jobs_blob: bytes) -> bytes
     if len(jobs) >= 2:
         # A chunk amortises the eager table build; a single job would pay
         # it for nothing (promote-on-reuse never builds for one shot).
-        backend.warm(artifacts)
+        backend.warm(artifacts, circuit)
     results = prove_jobs_to_wire(
         backend_name,
         circuit,

@@ -228,7 +228,7 @@ def _handle_jobs(conn: socket.socket, state: WorkerState, payload: bytes) -> Non
             state.count(keys=1)
             artifacts = state.keystore.artifacts(a, n, b, strategy, backend_name)
     if len(jobs) >= 2:
-        backend.warm(artifacts)
+        backend.warm(artifacts, circuit)
     results = prove_jobs_to_wire(
         backend_name,
         circuit,

@@ -6,14 +6,15 @@ queries (G1 and G2), which are reused across proofs.  Precomputing shifted
 multiples of each base turns those MSMs into pure table lookups:
 
 * :class:`FixedBaseTable` — a dense digit table for one heavily reused point
-  (the Pedersen blinder generator, the G1 and G2 generators in the trusted
-  setup).  A scalar mul becomes ``~254/w`` mixed additions with **no
+  (the G1 and G2 generators in the trusted setup).  A scalar mul becomes ``~254/w`` mixed additions with **no
   doublings**.
 * :class:`FixedBaseMSM` — per base point, the shifted copies
   ``2^(i*w) * P_j``.  An MSM then scatters signed digits into a *single*
   shared bucket space (the window shift is baked into the point, so digits
   from every window can share buckets) and reduces it with batch-affine
-  additions — no doublings, no per-window passes.
+  additions — no doublings, no per-window passes.  Scalars are folded
+  into ``(-r/2, r/2]`` first, so a small negative one costs a digit or
+  two, like its magnitude.
 * :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
   the first sighting of a base vector uses the generic Pippenger MSM, the
   second builds tables.  One-shot callers never pay the precompute.
@@ -38,7 +39,7 @@ from .bn254 import (
     group_of,
 )
 from .msm import msm as _generic_msm
-from .msm import signed_digits
+from .msm import fold_scalar, signed_digits
 
 _SCALAR_BITS = CURVE_ORDER.bit_length()
 
@@ -190,7 +191,7 @@ class FixedBaseMSM:
     ) -> None:
         w, nw, neg = self.window, self.num_windows, self.ops.neg
         for j, sc in enumerate(scalars):
-            sc %= CURVE_ORDER
+            sc = fold_scalar(sc)
             row = self.shifted[j]
             if sc == 0 or row is None:
                 continue

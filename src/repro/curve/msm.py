@@ -17,6 +17,11 @@ With ``n`` points and window size ``c`` the cost is roughly
 additions for the bucket aggregation, instead of ``254 * n / 2`` doublings
 and additions for naive double-and-add per point.
 
+Scalars are folded into ``(-r/2, r/2]`` first (:func:`fold_scalar`): a
+small negative wire value such as an int8 ``-3`` arrives as the 254-bit
+residue ``r - 3``, and folded it recodes to one digit instead of ~254/c.
+Only the windows the largest folded scalar reaches are processed.
+
 Both groups share the code: the group comes from the points (see
 :class:`~repro.curve.bn254.GroupOps`).  G2 points are converted to int
 tuples once on the way in and the result back on the way out.
@@ -34,7 +39,7 @@ from .bn254 import (
     group_of,
 )
 
-_SCALAR_BITS = CURVE_ORDER.bit_length()
+_HALF_ORDER = CURVE_ORDER // 2
 
 # Below this count the Jacobian fallback wins (no batch scheduling to set up).
 _BATCH_AFFINE_MSM_THRESHOLD = 16
@@ -75,13 +80,24 @@ def _signed_window_size(n: int) -> int:
 
 def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
     """Base-``2^c`` signed-digit recoding with digits in ``[-2^(c-1)+1,
-    2^(c-1)]``; ``num_windows`` must cover ``scalar.bit_length() + 1`` bits
-    so the final carry is absorbed."""
+    2^(c-1)]``, least significant first.
+
+    A negative scalar recodes ``|scalar|`` and negates every digit, so a
+    field element folded into ``(-r/2, r/2]`` costs as many digits as its
+    magnitude.  The list stops at the top non-zero digit; ``num_windows``
+    bounds its length and must cover ``|scalar|.bit_length() + 1`` bits so
+    the final carry is absorbed.
+    """
+    if scalar < 0:
+        return [-d for d in signed_digits(-scalar, c, num_windows)]
+    count = (scalar.bit_length() + c) // c  # room for the final carry
+    if count > num_windows:
+        raise ValueError("num_windows too small for scalar")
     mask = (1 << c) - 1
     half = 1 << (c - 1)
-    digits = [0] * num_windows
+    digits = [0] * count
     carry = 0
-    for i in range(num_windows):
+    for i in range(count):
         d = ((scalar >> (i * c)) & mask) + carry
         if d > half:
             d -= 1 << c
@@ -89,23 +105,34 @@ def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
         else:
             carry = 0
         digits[i] = d
-    if carry:
-        raise ValueError("num_windows too small for scalar")
+    if digits and not digits[-1]:
+        digits.pop()  # the carry window was not needed
     return digits
+
+
+def fold_scalar(scalar: int) -> int:
+    """The representative of ``scalar`` mod r in ``(-r/2, r/2]``.
+
+    Quantised wires are small signed integers, so ``-v`` arrives as the
+    ~254-bit residue ``r - v``; folded back, it recodes to as few digits as
+    ``v`` (the negation is free on an affine point).
+    """
+    scalar %= CURVE_ORDER
+    return scalar - CURVE_ORDER if scalar > _HALF_ORDER else scalar
 
 
 def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
     """``sum_i scalars[i] * points[i]`` over G1 or G2.
 
-    ``None`` points and zero scalars are skipped.  The scalar list is reduced
-    mod the curve order first.
+    ``None`` points and zero scalars are skipped.  Scalars are reduced mod
+    the curve order and folded into ``(-r/2, r/2]`` (:func:`fold_scalar`).
     """
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have equal length")
     pts: List[tuple] = []
     scs: List[int] = []
     for pt, sc in zip(points, scalars):
-        sc %= CURVE_ORDER
+        sc = fold_scalar(sc)
         if pt is None or sc == 0:
             continue
         pts.append(pt)
@@ -115,12 +142,16 @@ def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
     ops = group_of(pts[0])
     decode = ops.decode
     pts = [decode(pt) for pt in pts]
+    if len(pts) >= _BATCH_AFFINE_MSM_THRESHOLD:
+        return ops.encode(_msm_batch_affine(pts, scs))
+    # The unsigned paths take the sign on the point instead.
+    neg = ops.neg
+    pts = [neg(pt) if sc < 0 else pt for pt, sc in zip(pts, scs)]
+    scs = [abs(sc) for sc in scs]
     if len(pts) == 1:
         acc = ops.to_affine(ops.jac_mul(ops.to_jac(pts[0]), scs[0]))
-    elif len(pts) < _BATCH_AFFINE_MSM_THRESHOLD:
-        acc = _msm_jacobian(pts, scs)
     else:
-        acc = _msm_batch_affine(pts, scs)
+        acc = _msm_jacobian(pts, scs)
     return ops.encode(acc)
 
 
@@ -130,12 +161,14 @@ def _msm_batch_affine(pts: List[tuple], scs: List[int]) -> AffinePoint:
     All windows' buckets are filled and reduced in one
     :func:`batch_affine_reduce` call, maximising the batch size each
     inversion is shared across; only the per-window aggregation and the
-    window-combining doublings stay in Jacobian coordinates.
+    window-combining doublings stay in Jacobian coordinates.  Scalars are
+    folded (possibly negative), and only the windows the largest of them
+    reaches are aggregated.
     """
     ops = group_of(pts[0])
     c = _signed_window_size(len(pts))
     half = 1 << (c - 1)
-    num_windows = (_SCALAR_BITS + c) // c + 1
+    num_windows = (max(abs(sc) for sc in scs).bit_length() + c) // c
     neg = ops.neg
     # groups[w * half + (|d| - 1)] collects points with digit d in window w.
     groups: List[List[tuple]] = [[] for _ in range(num_windows * half)]
@@ -169,7 +202,7 @@ def _msm_jacobian(pts: List[tuple], scs: List[int]) -> AffinePoint:
     """Classic unsigned-window Pippenger in Jacobian coordinates."""
     ops = group_of(pts[0])
     c = _window_size(len(pts))
-    num_windows = (_SCALAR_BITS + c - 1) // c
+    num_windows = (max(scs).bit_length() + c - 1) // c
     mask = (1 << c) - 1
     infinity, double, add = ops.jac_infinity, ops.jac_double, ops.jac_add
     jacs = [ops.to_jac(pt) for pt in pts]

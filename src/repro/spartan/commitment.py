@@ -4,7 +4,15 @@
   their discrete logs (nothing-up-my-sleeve; this is what makes the scheme
   binding without a trusted setup).
 * A vector of length ``2^m`` is laid out as a ``2^m1 x 2^m2`` matrix
-  (``m1 = ceil(m/2)``); each row gets a blinded Pedersen commitment.
+  (``m1 = ceil(m/2)``); each row gets a blinded Pedersen commitment
+  ``b_i * H + <row_i, G>``.
+* The commitments run on one process-wide fixed-base table over
+  ``[H, G_0, G_1, ...]`` (:func:`pedersen_table`), so the blinder is just
+  scalar 0 of each row: the whole matrix is one batched
+  :meth:`~repro.curve.fixed_base.FixedBaseMSM.msm_many` over the rows
+  ``[b_i] + row_i``.  Witness entries are mostly small signed integers;
+  the MSM folds them into ``(-r/2, r/2]``, so a negative one costs the
+  digits of its magnitude, not of a 254-bit residue.
 * Opening at a point ``r = (r1 || r2)`` uses the bilinear structure
   ``v~(r) = L(r1)^T M R(r2)``: the prover reveals ``t = M^T L`` and the
   combined blinder, the verifier checks ``commit(t) == sum_i L_i * C_i``
@@ -18,21 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import secrets
+import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..curve.bn254 import (
-    AffinePoint,
-    CURVE_ORDER,
-    add,
-    batch_affine_pairwise_add,
-    eq,
-    g1_sum,
-    is_on_curve,
-    multiply,
-    neg,
-)
-from ..curve.fixed_base import FixedBaseMSM, FixedBaseTable
+from ..curve.bn254 import AffinePoint, CURVE_ORDER, eq, is_on_curve
+from ..curve.fixed_base import FixedBaseMSM
 from ..curve.msm import msm
 from ..field.extension import P as FQ_MODULUS
 from ..field.prime_field import sqrt_mod
@@ -64,11 +63,17 @@ def hash_to_g1(label: bytes) -> AffinePoint:
 _GENERATOR_CACHE: List[AffinePoint] = []
 _BLINDER_GEN: Optional[AffinePoint] = None
 
-# Fixed-base window tables, grown in lockstep with the generator cache: the
-# generators never change, so every row commitment in the process reuses
-# the same precomputed shifted multiples.
-_GEN_FIXED_BASE = FixedBaseMSM()
-_BLINDER_TABLE: Optional[FixedBaseTable] = None
+# One fixed-base table over ``[H, G_0, G_1, ...]``, grown in lockstep with
+# the generator cache: the blinder generator is base 0, so a blinded
+# commitment is a single MSM over ``[blinder] + values``.  The window is
+# measured (PERF.md "Hyrax commit"): folded int8 rows are
+# aggregation-bound and commit fastest at w=6, uniform 254-bit rows are
+# insertion-bound and lose 10-65% below w=8.  w=8 keeps the uniform rows
+# at full speed and still commits an int8 witness matrix ~2x faster than
+# recoding its negatives as 254-bit residues.
+_PEDERSEN_WINDOW = 8
+_PEDERSEN_TABLE: Optional[FixedBaseMSM] = None
+_PEDERSEN_LOCK = threading.Lock()
 
 
 def pedersen_generators(count: int) -> List[AffinePoint]:
@@ -79,16 +84,6 @@ def pedersen_generators(count: int) -> List[AffinePoint]:
     return _GENERATOR_CACHE[:count]
 
 
-def generator_fixed_base(count: int) -> FixedBaseMSM:
-    """Fixed-base tables for the first ``count`` canonical generators."""
-    pedersen_generators(count)
-    if len(_GEN_FIXED_BASE) < count:
-        _GEN_FIXED_BASE.extend(
-            _GENERATOR_CACHE[len(_GEN_FIXED_BASE):count]
-        )
-    return _GEN_FIXED_BASE
-
-
 def blinder_generator() -> AffinePoint:
     global _BLINDER_GEN
     if _BLINDER_GEN is None:
@@ -96,11 +91,19 @@ def blinder_generator() -> AffinePoint:
     return _BLINDER_GEN
 
 
-def blinder_table() -> FixedBaseTable:
-    global _BLINDER_TABLE
-    if _BLINDER_TABLE is None:
-        _BLINDER_TABLE = FixedBaseTable(blinder_generator())
-    return _BLINDER_TABLE
+def pedersen_table(count: int) -> FixedBaseMSM:
+    """The shared fixed-base table over ``[H, G_0, G_1, ...]``, grown to
+    cover at least ``G_0..G_{count-1}``."""
+    global _PEDERSEN_TABLE
+    with _PEDERSEN_LOCK:
+        if _PEDERSEN_TABLE is None:
+            _PEDERSEN_TABLE = FixedBaseMSM(
+                [blinder_generator()], window=_PEDERSEN_WINDOW
+            )
+        have = len(_PEDERSEN_TABLE) - 1
+        if have < count:
+            _PEDERSEN_TABLE.extend(pedersen_generators(count)[have:])
+        return _PEDERSEN_TABLE
 
 
 def _is_canonical_generators(
@@ -118,14 +121,19 @@ def _is_canonical_generators(
 def pedersen_commit(
     values: Sequence[int], blinder: int, generators: Sequence[AffinePoint]
 ) -> AffinePoint:
+    """``blinder * H + sum_i values[i] * generators[i]``."""
     n = len(values)
+    scalars = [blinder, *values]
     if _is_canonical_generators(generators, n):
-        acc = generator_fixed_base(n).msm(values)
-    else:
-        acc = msm(list(generators[:n]), list(values))
-    if blinder:
-        acc = add(acc, blinder_table().mul(blinder))
-    return acc
+        return pedersen_table(n).msm(scalars)
+    return msm([blinder_generator(), *generators[:n]], scalars)
+
+
+def hyrax_shape(num_vars: int) -> Tuple[int, int]:
+    """``(row_vars, col_vars)`` of the matrix a ``2^num_vars`` vector is
+    committed as: ``2^ceil(m/2)`` rows of ``2^floor(m/2)`` columns."""
+    row_vars = (num_vars + 1) // 2
+    return row_vars, num_vars - row_vars
 
 
 @dataclass
@@ -164,8 +172,7 @@ class HyraxProver:
         if len(vec) > size:
             raise ValueError("vector longer than 2^num_vars")
         self.num_vars = num_vars
-        self.row_vars = (num_vars + 1) // 2
-        self.col_vars = num_vars - self.row_vars
+        self.row_vars, self.col_vars = hyrax_shape(num_vars)
         self.values = [v % R for v in vec] + [0] * (size - len(vec))
         ncols = 1 << self.col_vars
         self.rows = [
@@ -176,15 +183,14 @@ class HyraxProver:
 
     def commit(self) -> HyraxCommitment:
         # All rows share the canonical generators, so the whole matrix
-        # commits through the fixed-base tables in one batched pass: every
-        # bucket insertion and aggregation addition across all rows shares
-        # batched inversions, and the blinder multiples come from a dense
-        # window table with no doublings.
-        fb = generator_fixed_base(1 << self.col_vars)
-        row_accs = fb.msm_many(self.rows)
-        btab = blinder_table()
-        blinds = [btab.mul(b) for b in self.blinders]
-        commits = batch_affine_pairwise_add(row_accs, blinds)
+        # commits through the one Pedersen table in one batched pass: each
+        # row is the MSM of ``[blinder] + row`` over ``[H, G_0, ...]``, and
+        # every bucket insertion and aggregation addition across all rows
+        # shares batched inversions.
+        table = pedersen_table(1 << self.col_vars)
+        commits = table.msm_many(
+            [[b, *row] for b, row in zip(self.blinders, self.rows)]
+        )
         return HyraxCommitment(
             row_commits=commits,
             num_vars=self.num_vars,
@@ -217,12 +223,24 @@ def hyrax_verify(
     point: Sequence[int],
     opening: HyraxOpening,
 ) -> bool:
-    """Check an opening against the row commitments."""
-    if len(point) != commitment.num_vars:
+    """Check an opening against the row commitments.
+
+    A commitment or opening whose shape disagrees with its own header (or
+    with ``point``) is rejected, not raised on.
+    """
+    row_vars, col_vars = commitment.row_vars, commitment.col_vars
+    if (
+        row_vars < 0
+        or col_vars < 0
+        or row_vars + col_vars != commitment.num_vars
+        or len(point) != commitment.num_vars
+        or len(commitment.row_commits) != 1 << row_vars
+        or len(opening.t) != 1 << col_vars
+    ):
         return False
-    left = eq_evals(point[: commitment.row_vars])
-    right = eq_evals(point[commitment.row_vars:])
-    gens = pedersen_generators(1 << commitment.col_vars)
+    left = eq_evals(point[:row_vars])
+    right = eq_evals(point[row_vars:])
+    gens = pedersen_generators(1 << col_vars)
     expected = msm(commitment.row_commits, left)
     actual = pedersen_commit(opening.t, opening.blinder, gens)
     if not eq(expected, actual):

@@ -28,7 +28,9 @@ from .commitment import (
     HyraxCommitment,
     HyraxOpening,
     HyraxProver,
+    hyrax_shape,
     hyrax_verify,
+    pedersen_table,
 )
 from .sumcheck import SumcheckProof, sumcheck_prove, sumcheck_verify
 from .transcript import Transcript
@@ -56,14 +58,24 @@ class SpartanProof:
         )
 
 
+def _half(num_public: int, num_witness: int) -> int:
+    """Padded length of each half of the z-vector (public | witness)."""
+    return max(2, next_power_of_two(max(num_public, num_witness)))
+
+
 def _shape(instance: R1CSInstance):
     cons_padded = max(2, next_power_of_two(instance.num_constraints))
-    half = max(
-        2,
-        next_power_of_two(max(instance.num_public, instance.num_witness)),
-    )
+    half = _half(instance.num_public, instance.num_witness)
     full = 2 * half
     return cons_padded, half, full
+
+
+def warm(num_public: int, num_witness: int) -> None:
+    """Build the Pedersen table rows :func:`prove` commits a witness with,
+    for an instance with these wire counts (idempotent)."""
+    half = _half(num_public, num_witness)
+    _, col_vars = hyrax_shape(half.bit_length() - 1)
+    pedersen_table(1 << col_vars)
 
 
 def _column(index: int, num_public: int, half: int) -> int:

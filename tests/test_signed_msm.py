@@ -1,0 +1,268 @@
+"""Signed-scalar folding and the one-table blinded Hyrax commitment.
+
+* ``signed_digits`` round-trips negative scalars (digits of ``|s|``,
+  negated) and stops at the top non-zero digit;
+* ``msm``, ``FixedBaseMSM.msm``/``msm_many`` (w=None, 5, 8) and the
+  promote-on-reuse ``fixed_base_msm`` equal the naive per-point sum on G1
+  and G2 for the scalars folding into ``(-r/2, r/2]`` treats specially:
+  0, 1, ``r//2``, ``r//2 + 1``, ``r - 1``, int8 negatives, all-negative
+  rows, and ``s`` with ``r - s`` on a duplicated base;
+* Hyrax row commitments are byte-identical to the two-table
+  implementation they replace (sha256 pinned from it), and
+  ``pedersen_commit`` equals its definition;
+* ``hyrax_verify`` rejects mis-shaped commitments and openings with
+  ``False`` instead of raising, and never grows the generator table;
+* ``SpartanBackend.warm`` prebuilds the table a proof needs, idempotently,
+  without changing a commitment.
+"""
+
+import hashlib
+import random
+
+import pytest
+from _g2_reference import reference_g2_msm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.spartan.commitment as commitment
+from repro.core import MatmulProver, MatmulVerifier
+from repro.core.backends import SpartanBackend
+from repro.curve.bn254 import (
+    CURVE_ORDER,
+    add,
+    g1_generator,
+    g2_generator,
+    multiply,
+    point_to_bytes,
+)
+from repro.curve.fixed_base import (
+    FixedBaseMSM,
+    clear_fixed_base_cache,
+    fixed_base_msm,
+)
+from repro.curve.msm import fold_scalar, msm, signed_digits
+from repro.gadgets.matmul import MatmulCircuit
+from repro.spartan.commitment import (
+    HyraxCommitment,
+    HyraxOpening,
+    HyraxProver,
+    blinder_generator,
+    hyrax_verify,
+    pedersen_commit,
+    pedersen_generators,
+    pedersen_table,
+)
+
+R = CURVE_ORDER
+EDGES = [0, 1, R // 2, R // 2 + 1, R - 1]
+INT8_NEGATIVES = [-1, -2, -37, -127, -128]
+
+_rng = random.Random(0x5160)
+_G1_POOL = [multiply(g1_generator(), _rng.randrange(1, R)) for _ in range(12)]
+_G2_POOL = [multiply(g2_generator(), _rng.randrange(1, R)) for _ in range(4)]
+_S = _rng.randrange(R)
+
+
+def _naive_g1(points, scalars):
+    acc = None
+    for pt, sc in zip(points, scalars):
+        acc = add(acc, multiply(pt, sc))
+    return acc
+
+
+NAIVE = {"g1": _naive_g1, "g2": reference_g2_msm}
+POOLS = {"g1": _G1_POOL, "g2": _G2_POOL}
+
+
+def _cases(pool):
+    """(points, scalars) pairs; 20-point cases take the batch-affine MSM
+    path, shorter ones the Jacobian and single-point paths."""
+    pts20 = [pool[i % len(pool)] for i in range(20)]
+    s = _S
+    mixed = EDGES + INT8_NEGATIVES + [5, 127, R - 5, s] + [0] * 6
+    return [
+        (pts20, mixed),                                     # every edge
+        (pts20, [v % R for v in INT8_NEGATIVES] * 4),       # all-negative row
+        (pts20, [-v for v in range(1, 21)]),                # negative ints
+        (pool[:3], [R // 2, R // 2 + 1, R - 1]),            # Jacobian path
+        ([pool[0]], [R - 1]),                               # single point
+        ([pool[0], pool[0]], [s, R - s]),                   # cancels
+        (pts20[:10] * 2, [s, 3] * 5 + [R - s, R - 3] * 5),  # cancels, batched
+    ]
+
+
+_CASE_IDS = range(len(_cases(_G1_POOL)))
+
+
+class TestSignedDigits:
+    @given(
+        st.integers(min_value=-(R // 2), max_value=R // 2),
+        st.integers(min_value=2, max_value=12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_negative_roundtrip(self, sc, c):
+        num_windows = (R.bit_length() + c) // c + 1
+        digits = signed_digits(sc, c, num_windows)
+        half = 1 << (c - 1)
+        assert all(-half <= d <= half for d in digits)
+        assert sum(d << (i * c) for i, d in enumerate(digits)) == sc
+        assert digits == [-d for d in signed_digits(-sc, c, num_windows)]
+        assert not digits or digits[-1] != 0  # stops at the top digit
+
+    def test_small_magnitudes_cost_one_digit(self):
+        for v in INT8_NEGATIVES + [1, 127, 128]:
+            assert signed_digits(fold_scalar(v % R), 8, 34) == [v]
+        assert signed_digits(0, 8, 34) == []
+
+    def test_fold_scalar(self):
+        assert [fold_scalar(v) for v in EDGES] == [
+            0, 1, R // 2, R // 2 + 1 - R, -1
+        ]
+        assert fold_scalar(-3) == -3 and fold_scalar(R + 4) == 4
+
+    def test_too_few_windows_rejected(self):
+        with pytest.raises(ValueError):
+            signed_digits(-(1 << 20), 4, 5)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+@pytest.mark.parametrize("case", _CASE_IDS)
+class TestFoldedMsmEquivalence:
+    def test_generic_msm(self, group, case):
+        pts, scs = _cases(POOLS[group])[case]
+        assert msm(pts, scs) == NAIVE[group](pts, scs)
+
+    def test_fixed_base_msm_and_many(self, group, case):
+        pts, scs = _cases(POOLS[group])[case]
+        want = NAIVE[group](pts, scs)
+        for window in (None, 5, 8):
+            fb = FixedBaseMSM(pts, window=window)
+            assert fb.msm(scs) == want
+            assert fb.msm_many([scs, [0] * len(scs), scs]) == [want, None, want]
+
+    def test_cached_fixed_base_msm(self, group, case):
+        pts, scs = _cases(POOLS[group])[case]
+        want = NAIVE[group](pts, scs)
+        clear_fixed_base_cache()
+        try:
+            for _ in range(3):  # generic, table build, warm table
+                assert fixed_base_msm(("fold", group), pts, scs) == want
+        finally:
+            clear_fixed_base_cache()
+
+
+def _row_digest(com):
+    return hashlib.sha256(
+        b"".join(point_to_bytes(p) for p in com.row_commits)
+    ).hexdigest()
+
+
+def _int8_vector(rng, n):
+    negative = set(rng.sample(range(n), n // 2))
+    return [
+        -rng.randint(1, 128) if i in negative else rng.randint(0, 127)
+        for i in range(n)
+    ]
+
+
+def _seeded_prover(kind):
+    """A seeded HyraxProver over 2^8 entries: a zero-padded int8 vector
+    (half negative) or a uniform random one."""
+    if kind == "int8":
+        rng = random.Random(0x1D8)
+        vec = _int8_vector(rng, 200)
+    else:
+        rng = random.Random(0x2A4D)
+        vec = [rng.randrange(R) for _ in range(256)]
+    return HyraxProver(vec, 8, rng=lambda: rng.randrange(R))
+
+
+# sha256 of the row commitments, taken from the implementation with a
+# separate generator table, a dense blinder table and a final pairwise add.
+HYRAX_PINS = {
+    "int8": "c1b952d983aa1a98ae4089a4361612021cc6f710545696305a061945112aac21",
+    "random": "e6c3e4bffb74dd28074eba539ba627c3283d3aebbe51600bf5f88cf23da6fda2",
+}
+
+
+class TestHyraxByteIdentity:
+    @pytest.mark.parametrize("kind", sorted(HYRAX_PINS))
+    def test_row_commits_match_pinned(self, kind):
+        assert _row_digest(_seeded_prover(kind).commit()) == HYRAX_PINS[kind]
+
+    @pytest.mark.parametrize("blinder", [0, 1, R - 1])
+    def test_pedersen_commit_matches_definition(self, blinder):
+        values = [3, -7, 0, R - 1, 127, -128, 1 << 200, 5]
+        gens = pedersen_generators(len(values))
+        want = add(msm(gens, values), multiply(blinder_generator(), blinder))
+        assert pedersen_commit(values, blinder, gens) == want
+        # Non-canonical generators take the generic MSM, same definition.
+        assert pedersen_commit(values, blinder, list(_G1_POOL[:8])) == add(
+            msm(_G1_POOL[:8], values), multiply(blinder_generator(), blinder)
+        )
+
+
+def _opened(num_vars=4):
+    hp = HyraxProver(list(range(1 << num_vars)), num_vars)
+    point = [3, 5, 7, 11][:num_vars]
+    return hp.commit(), point, hp.open(point)
+
+
+class TestHyraxShapeRejection:
+    def test_honest_opening_verifies(self):
+        assert hyrax_verify(*_opened())
+
+    def test_row_count_mismatch(self):
+        com, point, opening = _opened()
+        for rows in (com.row_commits[:-1], com.row_commits + [None]):
+            bad = HyraxCommitment(rows, com.num_vars, com.row_vars, com.col_vars)
+            assert hyrax_verify(bad, point, opening) is False
+
+    def test_opening_length_mismatch_does_not_grow_table(self):
+        com, point, opening = _opened()
+        size = len(pedersen_table(0))
+        for t in (opening.t[:-1], opening.t + [0], opening.t + [0] * 300):
+            bad = HyraxOpening(t, opening.blinder, opening.value)
+            assert hyrax_verify(com, point, bad) is False
+        assert len(pedersen_table(0)) == size
+
+    def test_split_disagrees_with_num_vars(self):
+        com, point, opening = _opened()
+        for row_vars, col_vars in ((3, 2), (1, 2), (-1, 5)):
+            bad = HyraxCommitment(com.row_commits, com.num_vars, row_vars, col_vars)
+            assert hyrax_verify(bad, point, opening) is False
+
+    def test_in_memory_bundle_verifies_false(self):
+        prover = MatmulProver(2, 2, 2, backend="spartan")
+        rng = random.Random(4)
+        mats = [[[rng.randint(-128, 127) for _ in range(2)] for _ in range(2)]
+                for _ in range(2)]
+        bundle = prover.prove(*mats)
+        verifier = MatmulVerifier.from_bytes(prover.export_verifier())
+        assert verifier.verify(bundle)
+        # The opening's t enters the transcript only after hyrax_verify, so
+        # a mis-sized t reaches it with every earlier check passing.
+        t = bundle.proof.opening.t
+        for bad in (t + [0], t[:-1]):
+            bundle.proof.opening.t = bad
+            assert verifier.verify(bundle) is False
+
+
+class TestSpartanWarm:
+    def test_warm_is_idempotent_and_covers_a_proof(self, monkeypatch):
+        monkeypatch.setattr(commitment, "_PEDERSEN_TABLE", None)
+        before = _row_digest(_seeded_prover("int8").commit())
+        monkeypatch.setattr(commitment, "_PEDERSEN_TABLE", None)
+        backend = SpartanBackend()
+        circuit = MatmulCircuit(4, 8, 4, "crpc_psq")
+        backend.warm(None, circuit)
+        table = commitment._PEDERSEN_TABLE
+        size = len(table)
+        backend.warm(None, circuit)
+        assert commitment._PEDERSEN_TABLE is table and len(table) == size
+        rng = random.Random(8)
+        x = [[rng.randint(-128, 127) for _ in range(8)] for _ in range(4)]
+        w = [[rng.randint(-128, 127) for _ in range(4)] for _ in range(8)]
+        backend.prove(circuit, None, x, w)
+        assert len(table) == size  # the proof found every row it needed
+        assert _row_digest(_seeded_prover("int8").commit()) == before
