@@ -14,7 +14,9 @@ Times the dominant prover kernels on this machine:
 * **Hyrax commit** at 2^10 / 2^12 on uniform 254-bit scalars — the
   batched fixed-base path versus per-row generic MSMs — and at 2048
   int8-shaped scalars (``"2048-int8"``: half of them negative, the
-  traffic the matmul workloads commit; timed in quick runs too);
+  traffic the matmul workloads commit), plus one ``pedersen_commit`` of a
+  blinder and 32 uniform values (``"32-opening"``: the verifier's Hyrax
+  opening check, a single-row MSM); both timed in quick runs too;
 * **NTT** for sizes 2^8..2^14 — the planned (cached-twiddle) transform and
   the batched ``ntt_many`` path versus the naive serial-twiddle loop;
 * **Groth16 quotient** (``_compute_h``) for domain sizes 2^8..2^10 — the
@@ -70,7 +72,12 @@ from repro.field.ntt import naive_ntt, ntt, ntt_many  # noqa: E402
 from repro.field.prime_field import BN254_FR_MODULUS, batch_inv_mod  # noqa: E402
 from repro.groth16.prove import _compute_h, _compute_h_reference  # noqa: E402
 from repro.r1cs.system import R1CSInstance  # noqa: E402
-from repro.spartan.commitment import HyraxProver, pedersen_table  # noqa: E402
+from repro.spartan.commitment import (  # noqa: E402
+    HyraxProver,
+    pedersen_commit,
+    pedersen_generators,
+    pedersen_table,
+)
 from repro.spartan.sumcheck import (  # noqa: E402
     sumcheck_prove,
     sumcheck_prove_reference,
@@ -86,6 +93,9 @@ FIELD_SIZES = [1 << k for k in range(8, 13)]      # 2^8 .. 2^12
 SUMCHECK_SIZES = [1 << k for k in range(10, 17)]  # 2^10 .. 2^16
 HYRAX_SIZES = [1 << 10, 1 << 12]
 HYRAX_INT8_SIZE = 1 << 11  # the 64x32 commit matrix of a 16x32x16 matmul
+HYRAX_OPENING_SIZE = 32  # the opening row t of that matrix
+# A single-row commit takes ~10 ms: time the best of this many per repeat.
+HYRAX_OPENING_REPEATS = 20
 NTT_SIZES = [1 << k for k in range(8, 15)]        # 2^8 .. 2^14
 QUOTIENT_SIZES = [1 << 8, 1 << 9, 1 << 10]        # Groth16 domain sizes
 G2_MSM_SIZES = [16, 32, 64]                      # Groth16 B-query sizes
@@ -208,6 +218,19 @@ def bench_hyrax(
     # Own seed: the same vector whether or not the quick subset ran.
     _, rate = commit_rate(_int8_vector(random.Random(0x1D8), HYRAX_INT8_SIZE))
     out[f"{HYRAX_INT8_SIZE}-int8"] = {"fast_ops_per_sec": rate}
+    # The verifier's opening check: one row of uniform values and a blinder.
+    opening_rng = random.Random(0x0BE1)
+    values = [opening_rng.randrange(R) for _ in range(HYRAX_OPENING_SIZE)]
+    blinder = opening_rng.randrange(R)
+    gens = pedersen_generators(HYRAX_OPENING_SIZE)
+    pedersen_table(HYRAX_OPENING_SIZE)
+    seconds = _timed(
+        lambda: pedersen_commit(values, blinder, gens),
+        HYRAX_OPENING_REPEATS * repeats,
+    )
+    out[f"{HYRAX_OPENING_SIZE}-opening"] = {
+        "fast_ops_per_sec": HYRAX_OPENING_SIZE / seconds
+    }
     return out
 
 

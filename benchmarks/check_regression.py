@@ -55,7 +55,8 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # Groth16 pi_B path) through the same ``fast``/``fixed_base`` metrics.
 # The hyrax_commit section's ``"2048-int8"`` entry gates the commit on
 # int8-shaped scalars (half negative), the traffic the matmul provers
-# serve, next to the uniform 254-bit sizes; quick runs time it too.
+# serve, next to the uniform 254-bit sizes; its ``"32-opening"`` entry
+# gates the verifier's single-row opening commit.  Quick runs time both.
 _GATED_METRICS = (
     "fast_ops_per_sec",
     "fixed_base_ops_per_sec",

@@ -9,12 +9,14 @@ multiples of each base turns those MSMs into pure table lookups:
   (the G1 and G2 generators in the trusted setup).  A scalar mul becomes ``~254/w`` mixed additions with **no
   doublings**.
 * :class:`FixedBaseMSM` — per base point, the shifted copies
-  ``2^(i*w) * P_j``.  An MSM then scatters signed digits into a *single*
+  ``2^(i*step) * P_j``.  An MSM then scatters signed digits into a *single*
   shared bucket space (the window shift is baked into the point, so digits
   from every window can share buckets) and reduces it with batch-affine
   additions — no doublings, no per-window passes.  Scalars are folded
   into ``(-r/2, r/2]`` first, so a small negative one costs a digit or
-  two, like its magnitude.
+  two, like its magnitude.  A table stored at a step finer than 8 picks
+  each call's window (a multiple of the step) from the scalars it is
+  given.
 * :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
   the first sighting of a base vector uses the generic Pippenger MSM, the
   second builds tables.  One-shot callers never pay the precompute.
@@ -45,6 +47,18 @@ _SCALAR_BITS = CURVE_ORDER.bit_length()
 
 _G1_MSM_WINDOW = 8
 
+# A table stored at step ``s`` can run any window that is a multiple of
+# ``s`` up to this bound, the largest window any table here runs
+# (:func:`_msm_window`) and the largest one measured.
+_MAX_CALL_WINDOW = 8
+
+# Cost of aggregating one bucket, in bucket insertions, in the estimate
+# that picks a call's window (PERF.md "Hyrax commit").  ``msm_many`` sums
+# every row's buckets in one lockstep batch-affine sweep; ``msm`` sums one
+# row's with Jacobian additions and so weighs more per bucket.
+_AGG_WEIGHT_MANY = 1
+_AGG_WEIGHT_ONE = 1.5
+
 
 def _msm_window(ops: GroupOps, n: int) -> int:
     """Window of a :class:`FixedBaseMSM` over ``n`` bases.
@@ -68,6 +82,30 @@ def _msm_window(ops: GroupOps, n: int) -> int:
 def _num_windows(window: int) -> int:
     """Signed-digit windows covering a reduced scalar plus its carry."""
     return (_SCALAR_BITS + window) // window + 1
+
+
+def _window_costs(
+    windows: Sequence[int], folded_rows: Sequence[Sequence[int]], weight: float
+) -> Dict[int, float]:
+    """Estimated cost of an MSM call at each candidate window.
+
+    ``sum_j ceil((bits_j + 1) / w)`` bucket insertions over the call's
+    non-zero folded scalars, plus ``weight * rows * 2^w`` for aggregating
+    each row's ``2^(w-1)`` buckets.  The scalars enter through one
+    bit-length histogram.
+    """
+    hist = [0] * (_SCALAR_BITS + 1)
+    for row in folded_rows:
+        for sc in row:
+            if sc:
+                hist[abs(sc).bit_length()] += 1
+    sizes = [(bits, count) for bits, count in enumerate(hist) if count]
+    rows = len(folded_rows)
+    return {
+        w: sum(count * ((bits + w) // w) for bits, count in sizes)
+        + weight * rows * (1 << w)
+        for w in windows
+    }
 
 
 def table_cost(points: Sequence[AffinePoint]) -> int:
@@ -135,13 +173,19 @@ class FixedBaseMSM:
     """Fixed-base MSM over a vector of bases with shared signed-digit
     buckets.
 
-    Per base only the shifted copies ``2^(i*w) * P_j`` are stored (33 points
-    at G1's w=8), built with a doubling chain and one batched
+    Per base only the shifted copies ``2^(i*step) * P_j`` are stored (33
+    points at G1's step 8), built with a doubling chain and one batched
     normalisation.  Because each window's shift lives in the precomputed
     point, the digits of *every* window land in one bucket space of
     ``2^(w-1)`` signed buckets; the whole MSM is ``n * 254/w`` batch-affine
-    bucket insertions plus a single aggregation sweep.  ``window`` defaults
-    to the group's choice for the initial base count.
+    bucket insertions plus a single aggregation sweep.
+
+    ``window`` is the stored step and defaults to the group's choice for
+    the initial base count, the only window such a table runs.  A finer
+    step lets each call run any multiple of it up to 8: window ``w`` takes
+    every ``(w // step)``-th stored shift, and the call picks the ``w``
+    that :func:`_window_costs` estimates cheapest for its scalars.  The
+    window schedules the sum; it never changes it.
     """
 
     def __init__(
@@ -150,8 +194,10 @@ class FixedBaseMSM:
         self.ops = _group_of_any(points)
         if window is None:
             window = _msm_window(self.ops, len(points))
-        self.window = window
-        self.half = 1 << (window - 1)
+        self.step = window
+        self.windows = tuple(
+            range(window, max(window, _MAX_CALL_WINDOW) + 1, window)
+        )
         self.num_windows = _num_windows(window)
         self.shifted: List[Optional[List[tuple]]] = []
         if points:
@@ -172,7 +218,7 @@ class FixedBaseMSM:
             for i in range(self.num_windows):
                 jacs.append(cur)
                 if i + 1 < self.num_windows:
-                    for _ in range(self.window):
+                    for _ in range(self.step):
                         cur = double(cur)
         flat = ops.normalize_batch(jacs)
         offset = 0
@@ -183,16 +229,45 @@ class FixedBaseMSM:
                 self.shifted.append(flat[offset:offset + self.num_windows])
                 offset += self.num_windows
 
+    def _fold(self, scalar_rows: Sequence[Sequence[int]]) -> List[List[int]]:
+        """Every row's scalars folded into ``(-r/2, r/2]``, once per call."""
+        n = len(self.shifted)
+        folded = []
+        for row in scalar_rows:
+            if len(row) > n:
+                raise ValueError("more scalars than precomputed bases")
+            folded.append([fold_scalar(sc) for sc in row])
+        return folded
+
+    def _window_for(self, folded_rows: List[List[int]], weight: float) -> int:
+        """The call's window: the table's only one, or the candidate with
+        the lowest estimated cost."""
+        if len(self.windows) == 1:
+            return self.windows[0]
+        costs = _window_costs(self.windows, folded_rows, weight)
+        return min(costs, key=costs.__getitem__)
+
+    def _shifts(self, w: int, width: int) -> List[Optional[List[tuple]]]:
+        """The first ``width`` bases' shifts at window ``w``: digit ``i``
+        of a scalar is ``row[i]`` of its base's list."""
+        k = w // self.step
+        if k == 1:
+            return self.shifted
+        return [
+            None if row is None else row[::k] for row in self.shifted[:width]
+        ]
+
     def _fill_groups(
         self,
         groups: List[List[tuple]],
-        scalars: Sequence[int],
+        folded: Sequence[int],
         base: int,
+        w: int,
+        shifts: List[Optional[List[tuple]]],
     ) -> None:
-        w, nw, neg = self.window, self.num_windows, self.ops.neg
-        for j, sc in enumerate(scalars):
-            sc = fold_scalar(sc)
-            row = self.shifted[j]
+        nw, neg = _num_windows(w), self.ops.neg
+        for j, sc in enumerate(folded):
+            row = shifts[j]
             if sc == 0 or row is None:
                 continue
             for i, d in enumerate(signed_digits(sc, w, nw)):
@@ -203,18 +278,20 @@ class FixedBaseMSM:
 
     def msm(self, scalars: Sequence[int]) -> AffinePoint:
         """``sum_j scalars[j] * P_j`` (scalars may be a prefix)."""
-        if len(scalars) > len(self.shifted):
-            raise ValueError("more scalars than precomputed bases")
+        folded = self._fold([scalars])
+        w = self._window_for(folded, _AGG_WEIGHT_ONE)
+        half = 1 << (w - 1)
         ops = self.ops
-        groups: List[List[tuple]] = [[] for _ in range(self.half)]
-        self._fill_groups(groups, scalars, 0)
+        groups: List[List[tuple]] = [[] for _ in range(half)]
+        shifts = self._shifts(w, len(scalars))
+        self._fill_groups(groups, folded[0], 0, w, shifts)
         buckets = batch_affine_reduce(groups)
         infinity, add, add_affine = (
             ops.jac_infinity, ops.jac_add, ops.jac_add_affine
         )
         running = infinity
         total = infinity
-        for d in range(self.half - 1, -1, -1):
+        for d in range(half - 1, -1, -1):
             b = buckets[d]
             if b is not None:
                 running = add_affine(running, b)
@@ -228,18 +305,17 @@ class FixedBaseMSM:
         """Many MSMs over the same bases — every row's buckets reduce in one
         batch-affine call and aggregate in one lockstep sweep, so the
         inversion cost is shared across the whole matrix (this is the Hyrax
-        row-commitment hot path)."""
-        half = self.half
-        groups: List[List[tuple]] = [
-            [] for _ in range(len(scalar_rows) * half)
-        ]
-        for r, row in enumerate(scalar_rows):
-            if len(row) > len(self.shifted):
-                raise ValueError("more scalars than precomputed bases")
-            self._fill_groups(groups, row, r * half)
+        row-commitment hot path).  One window serves the whole matrix."""
+        folded = self._fold(scalar_rows)
+        w = self._window_for(folded, _AGG_WEIGHT_MANY)
+        half = 1 << (w - 1)
+        groups: List[List[tuple]] = [[] for _ in range(len(folded) * half)]
+        shifts = self._shifts(w, max(map(len, folded), default=0))
+        for r, row in enumerate(folded):
+            self._fill_groups(groups, row, r * half, w, shifts)
         buckets = batch_affine_reduce(groups)
         sums = batch_affine_weighted_bucket_sums(
-            [buckets[r * half:(r + 1) * half] for r in range(len(scalar_rows))]
+            [buckets[r * half:(r + 1) * half] for r in range(len(folded))]
         )
         return [self.ops.encode(pt) for pt in sums]
 
@@ -307,13 +383,13 @@ def fixed_base_msm(
     list) — so a content-equal rehydrated vector keeps its tables, while a
     label rebound to a genuinely different vector resets its entry.
     """
+    if len(scalars) > len(points):
+        raise ValueError("more scalars than bases")
     entry = _cache_entry_for(label, points)
     entry.hits += 1
     if entry.table is None and entry.hits >= build_after:
         entry.table = FixedBaseMSM(points)
         _evict_oversized_tables(keep=entry)
-    if len(scalars) > len(points):
-        raise ValueError("more scalars than bases")
     if entry.table is not None:
         return entry.table.msm(scalars)
     if len(scalars) < len(points):

@@ -12,7 +12,10 @@
   :meth:`~repro.curve.fixed_base.FixedBaseMSM.msm_many` over the rows
   ``[b_i] + row_i``.  Witness entries are mostly small signed integers;
   the MSM folds them into ``(-r/2, r/2]``, so a negative one costs the
-  digits of its magnitude, not of a 254-bit residue.
+  digits of its magnitude, not of a 254-bit residue.  The table stores
+  its shifted bases every 2 bits, so each call runs the window its
+  scalars want: a matrix of small entries a small window with few
+  buckets to aggregate, uniform 254-bit rows w=8.
 * Opening at a point ``r = (r1 || r2)`` uses the bilinear structure
   ``v~(r) = L(r1)^T M R(r2)``: the prover reveals ``t = M^T L`` and the
   combined blinder, the verifier checks ``commit(t) == sum_i L_i * C_i``
@@ -65,13 +68,11 @@ _BLINDER_GEN: Optional[AffinePoint] = None
 
 # One fixed-base table over ``[H, G_0, G_1, ...]``, grown in lockstep with
 # the generator cache: the blinder generator is base 0, so a blinded
-# commitment is a single MSM over ``[blinder] + values``.  The window is
-# measured (PERF.md "Hyrax commit"): folded int8 rows are
-# aggregation-bound and commit fastest at w=6, uniform 254-bit rows are
-# insertion-bound and lose 10-65% below w=8.  w=8 keeps the uniform rows
-# at full speed and still commits an int8 witness matrix ~2x faster than
-# recoding its negatives as 254-bit residues.
-_PEDERSEN_WINDOW = 8
+# commitment is a single MSM over ``[blinder] + values``.  Shifts are
+# stored every 2 bits, so each call runs the window its scalars want
+# (PERF.md "Hyrax commit"): a folded int8 witness matrix commits at w=4,
+# uniform 254-bit rows at w=8.
+_PEDERSEN_STEP = 2
 _PEDERSEN_TABLE: Optional[FixedBaseMSM] = None
 _PEDERSEN_LOCK = threading.Lock()
 
@@ -98,7 +99,7 @@ def pedersen_table(count: int) -> FixedBaseMSM:
     with _PEDERSEN_LOCK:
         if _PEDERSEN_TABLE is None:
             _PEDERSEN_TABLE = FixedBaseMSM(
-                [blinder_generator()], window=_PEDERSEN_WINDOW
+                [blinder_generator()], window=_PEDERSEN_STEP
             )
         have = len(_PEDERSEN_TABLE) - 1
         if have < count:

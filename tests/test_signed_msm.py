@@ -13,7 +13,12 @@
 * ``hyrax_verify`` rejects mis-shaped commitments and openings with
   ``False`` instead of raising, and never grows the generator table;
 * ``SpartanBackend.warm`` prebuilds the table a proof needs, idempotently,
-  without changing a commitment.
+  without changing a commitment;
+* a table stored at step 2 gives the naive sum at every window a call may
+  run (2, 4, 6, 8), and its chooser picks w=8 for uniform rows and a
+  smaller window for an int8 witness matrix, while a table whose step is
+  its window never evaluates the estimate;
+* ``fixed_base_msm`` rejects too many scalars before touching its cache.
 """
 
 import hashlib
@@ -24,6 +29,7 @@ from _g2_reference import reference_g2_msm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.curve.fixed_base as fixed_base
 import repro.spartan.commitment as commitment
 from repro.core import MatmulProver, MatmulVerifier
 from repro.core.backends import SpartanBackend
@@ -266,3 +272,160 @@ class TestSpartanWarm:
         backend.prove(circuit, None, x, w)
         assert len(table) == size  # the proof found every row it needed
         assert _row_digest(_seeded_prover("int8").commit()) == before
+
+
+def _window_cases():
+    """The folding edge cases plus the rows a Hyrax commit pads with."""
+    pts20 = [_G1_POOL[i % len(_G1_POOL)] for i in range(20)]
+    return _cases(_G1_POOL) + [
+        (pts20, [0] * 20),                                  # all-zero row
+        (pts20, [_S] + [0] * 19),                           # blinder only
+        (pts20, [R - 1, -128 % R, 7, 0, R // 2 + 1]),       # prefix of bases
+    ]
+
+
+_STEPPED_TABLES = {}
+
+
+def _stepped_table(case):
+    """A step-2 table over the case's bases, built once per case."""
+    if case not in _STEPPED_TABLES:
+        pts, _ = _window_cases()[case]
+        _STEPPED_TABLES[case] = FixedBaseMSM(pts, window=2)
+    return _STEPPED_TABLES[case]
+
+
+@pytest.mark.parametrize("case", range(len(_window_cases())))
+class TestWindowPerCall:
+    """Step-2 tables: every window a call may choose gives the same sum."""
+
+    @pytest.mark.parametrize("w", [2, 4, 6, 8])
+    def test_forced_window_matches_naive(self, case, w, monkeypatch):
+        chosen = []
+
+        def forced(self, folded, weight):
+            chosen.append(w)
+            return w
+
+        monkeypatch.setattr(FixedBaseMSM, "_window_for", forced)
+        pts, scs = _window_cases()[case]
+        table = _stepped_table(case)
+        want = _naive_g1(pts, scs)
+        assert table.msm(scs) == want
+        assert table.msm_many([scs, [0] * len(scs), scs]) == [want, None, want]
+        assert chosen == [w, w]
+
+    def test_chosen_window_matches_naive(self, case):
+        pts, scs = _window_cases()[case]
+        table = _stepped_table(case)
+        want = _naive_g1(pts, scs)
+        assert table.msm(scs) == want
+        assert table.msm_many([scs, scs[:1]]) == [
+            want, _naive_g1(pts[:1], scs[:1])
+        ]
+
+
+def test_candidate_windows():
+    pts = _G1_POOL[:2]
+    assert FixedBaseMSM(pts, window=2).windows == (2, 4, 6, 8)
+    assert FixedBaseMSM(pts, window=3).windows == (3, 6)
+    for step in (5, 8, 10):
+        assert FixedBaseMSM(pts, window=step).windows == (step,)
+    assert FixedBaseMSM(pts).windows == (8,)  # the G1 default
+
+
+def _uniform_rows(nrows, ncols):
+    """``nrows`` rows of a blinder and ``ncols`` uniform values."""
+    rng = random.Random(0x57E9 + nrows * ncols)
+    return [[rng.randrange(R) for _ in range(ncols + 1)] for _ in range(nrows)]
+
+
+def _crpc_witness_rows():
+    """The shape of the spartan_crpc witness commit: 64 rows of a blinder
+    and 32 entries, half of them zero, about one in sixty a full-width
+    field element and the rest int8 (half negative)."""
+    rng = random.Random(0xC4C)
+    rows = []
+    for _ in range(64):
+        row = [rng.randrange(R)]
+        for _ in range(32):
+            x = rng.random()
+            if x < 0.5:
+                row.append(0)
+            elif x < 0.515:
+                row.append(rng.randrange(R))
+            else:
+                row.append(rng.randint(-128, 127) % R)
+        rows.append(row)
+    return rows
+
+
+# PERF.md "Hyrax commit": the window the verifier's opening row (a blinder
+# and 32 uniform values) was measured to commit fastest at.
+OPENING_WINDOW = 8
+
+
+class TestWindowChooser:
+    """The estimate picks windows by scalar sizes; no clock involved."""
+
+    def _pick(self, rows, weight):
+        table = pedersen_table(64)
+        assert table.windows == (2, 4, 6, 8)
+        return table._window_for(table._fold(rows), weight)
+
+    @pytest.mark.parametrize("nrows,ncols", [(32, 32), (64, 64)])
+    def test_uniform_matrix_selects_8(self, nrows, ncols):
+        rows = _uniform_rows(nrows, ncols)
+        assert self._pick(rows, fixed_base._AGG_WEIGHT_MANY) == 8
+
+    def test_int8_witness_selects_smaller(self):
+        rows = _crpc_witness_rows()
+        assert self._pick(rows, fixed_base._AGG_WEIGHT_MANY) < 8
+
+    def test_opening_row_selects_measured_window(self):
+        (row,) = _uniform_rows(1, 32)
+        assert self._pick([row], fixed_base._AGG_WEIGHT_ONE) == OPENING_WINDOW
+
+    def test_single_window_table_skips_estimate(self, monkeypatch):
+        calls = []
+        real = fixed_base._window_costs
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fixed_base, "_window_costs", spy)
+        rows = [[3, R - 1, 0, 5], [R // 2, -7 % R, 1, 0]]
+        for table in (FixedBaseMSM(_G1_POOL[:4]),
+                      FixedBaseMSM(_G1_POOL[:4], window=5),
+                      FixedBaseMSM(_G2_POOL)):
+            table.msm(rows[0])
+            table.msm_many(rows)
+        assert calls == []
+        stepped = FixedBaseMSM(_G1_POOL[:4], window=2)
+        stepped.msm(rows[0])
+        stepped.msm_many(rows)
+        assert len(calls) == 2
+
+
+class TestFixedBaseMsmRejection:
+    def test_rejected_call_leaves_cache_unchanged(self):
+        clear_fixed_base_cache()
+        try:
+            pts = _G1_POOL[:2]
+            # Fill the cache to its bound; a new label would evict one.
+            for i in range(fixed_base._CACHE_LIMIT):
+                fixed_base_msm(("reject", i), pts, [1, 2])
+            fixed_base_msm(("reject", 0), pts, [1, 2])
+            cache = fixed_base._FIXED_BASE_CACHE
+
+            def snapshot():
+                return [(lbl, e.hits, e.table) for lbl, e in cache.items()]
+
+            before = snapshot()
+            for label in (("reject", 0), ("reject", 1), ("reject", "new")):
+                with pytest.raises(ValueError):
+                    fixed_base_msm(label, pts, [1, 2, 3], build_after=1)
+                assert snapshot() == before
+        finally:
+            clear_fixed_base_cache()
