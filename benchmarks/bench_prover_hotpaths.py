@@ -4,7 +4,8 @@ Times the dominant prover kernels on this machine:
 
 * **MSM** over G1 for sizes 2^8..2^14 — the new batch-affine Pippenger and
   a warm fixed-base table, plus (at small sizes) the pre-PR-style Jacobian
-  Pippenger for reference;
+  Pippenger for reference — and at 2 and 8 points, the Straus path
+  against that Jacobian Pippenger (timed in quick runs too);
 * **field** for sizes 2^8..2^12 — the scalar big-int loops versus the
   vector engine (``repro.field.vector``) on the same inputs: elementwise
   mulmod/addmod, batched inversion, ``ntt_many``, and the FlatR1CS CSR
@@ -26,7 +27,11 @@ Times the dominant prover kernels on this machine:
   final exponentiation alone as ``final_exp_ops_per_sec``) and the
   4-pair product check Groth16 verification runs (``"4"``);
 * **g2_msm** for 16/32/64 bases — the generic Pippenger MSM and a warm
-  fixed-base table over G2, the Groth16 pi_B path.
+  fixed-base table over G2, the Groth16 pi_B path;
+* **groth16_blind** — the Groth16 prover's blinding terms: one dense
+  per-key table ``mul`` in G1 (``"1-g1-table"``) and in G2
+  (``"1-g2-table"``), each against a generic ``multiply``, and the
+  2-point ``msm`` of ``pi_C`` (``"2-msm"``) against two multiplies.
 
 Every entry records ops/sec (points/sec for MSM, table-elements/sec for
 sumcheck, vector-elements/sec for commits), so future PRs have a perf
@@ -89,6 +94,9 @@ R = BN254_FR_MODULUS
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_prover.json")
 
 MSM_SIZES = [1 << k for k in range(8, 15)]       # 2^8 .. 2^14
+STRAUS_SIZES = [2, 8]                             # the small-input path
+# A small MSM or one scalar mul takes milliseconds: best of this many.
+SMALL_KERNEL_REPEATS = 20
 FIELD_SIZES = [1 << k for k in range(8, 13)]      # 2^8 .. 2^12
 SUMCHECK_SIZES = [1 << k for k in range(10, 17)]  # 2^10 .. 2^16
 HYRAX_SIZES = [1 << 10, 1 << 12]
@@ -141,6 +149,26 @@ def bench_msm(sizes=MSM_SIZES, repeats: int = 1) -> Dict[str, Dict[str, float]]:
                 lambda: _msm_jacobian(pts, scs), repeats
             )
         out[str(n)] = entry
+    return out
+
+
+def bench_msm_small(
+    sizes=STRAUS_SIZES, repeats: int = 1
+) -> Dict[str, Dict[str, float]]:
+    """Points/sec of the Straus path ``msm`` runs below 16 points, against
+    the Jacobian Pippenger it replaced."""
+    rng = random.Random(0x57A)
+    n_runs = SMALL_KERNEL_REPEATS * repeats
+    out: Dict[str, Dict[str, float]] = {}
+    for n in sizes:
+        pts = _rand_points(n, rng)
+        scs = [rng.randrange(CURVE_ORDER) for _ in range(n)]
+        out[str(n)] = {
+            "fast_ops_per_sec": n / _timed(lambda: msm(pts, scs), n_runs),
+            "naive_ops_per_sec": n / _timed(
+                lambda: _msm_jacobian(pts, scs), n_runs
+            ),
+        }
     return out
 
 
@@ -434,6 +462,32 @@ def bench_g2_msm(
     return out
 
 
+def bench_groth16_blind(repeats: int = 1) -> Dict[str, Dict[str, float]]:
+    """The Groth16 blinding terms: scalar muls/sec on a warm dense
+    per-key table (G1, G2) and points/sec of the 2-point ``pi_C`` MSM,
+    each against generic ``multiply`` calls."""
+    rng = random.Random(0xB11D)
+    n_runs = SMALL_KERNEL_REPEATS * repeats
+    out: Dict[str, Dict[str, float]] = {}
+    for group, gen in (("g1", g1_generator()), ("g2", g2_generator())):
+        pt = multiply(gen, rng.randrange(1, CURVE_ORDER))
+        table = FixedBaseTable(pt)
+        k = rng.randrange(CURVE_ORDER)
+        out[f"1-{group}-table"] = {
+            "fast_ops_per_sec": 1 / _timed(lambda: table.mul(k), n_runs),
+            "naive_ops_per_sec": 1 / _timed(lambda: multiply(pt, k), n_runs),
+        }
+    pts = _rand_points(2, rng)
+    scs = [rng.randrange(CURVE_ORDER) for _ in range(2)]
+    out["2-msm"] = {
+        "fast_ops_per_sec": 2 / _timed(lambda: msm(pts, scs), n_runs),
+        "naive_ops_per_sec": 2 / _timed(
+            lambda: [multiply(p, k) for p, k in zip(pts, scs)], n_runs
+        ),
+    }
+    return out
+
+
 def merge_baseline(path: str, results: Dict[str, object]) -> Dict[str, object]:
     """Merge ``results`` into the shared baseline file per *entry*: other
     scripts' sections survive untouched, and a --quick run updates only
@@ -485,7 +539,10 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
     quotient_sizes = QUOTIENT_SIZES[:1] if quick else QUOTIENT_SIZES
     return {
         "meta": _host_meta(quick),
-        "msm": bench_msm(msm_sizes, repeats),
+        "msm": {
+            **bench_msm(msm_sizes, repeats),
+            **bench_msm_small(repeats=repeats),
+        },
         "field": bench_field(field_sizes, repeats),
         "sumcheck": bench_sumcheck(sc_sizes, repeats),
         "hyrax_commit": bench_hyrax(hyrax_sizes, repeats),
@@ -493,6 +550,7 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
         "groth16_quotient": bench_quotient(quotient_sizes, repeats),
         "pairing": bench_pairing(repeats),
         "g2_msm": bench_g2_msm(repeats=repeats),
+        "groth16_blind": bench_groth16_blind(repeats),
     }
 
 
@@ -516,7 +574,7 @@ def main(argv=None) -> int:
     merge_baseline(args.out, results)
     for section in (
         "msm", "field", "sumcheck", "hyrax_commit", "ntt", "groth16_quotient",
-        "pairing", "g2_msm",
+        "pairing", "g2_msm", "groth16_blind",
     ):
         print(f"[{section}]")
         for size, entry in sorted(

@@ -53,6 +53,10 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # exponentiation on its own, next to the full pairing and 4-pair product.
 # The g2_msm section gates the G2 MSMs (generic and fixed-base, the
 # Groth16 pi_B path) through the same ``fast``/``fixed_base`` metrics.
+# The groth16_blind section gates the prover's blinding terms (dense
+# per-key table muls in G1 and G2, the 2-point pi_C MSM), and the msm
+# section's ``"2"``/``"8"`` entries the Straus small-MSM path; quick runs
+# time all of them.
 # The hyrax_commit section's ``"2048-int8"`` entry gates the commit on
 # int8-shaped scalars (half negative), the traffic the matmul provers
 # serve, next to the uniform 254-bit sizes; its ``"32-opening"`` entry
@@ -108,6 +112,7 @@ def _paired_metrics(baseline: dict, fresh: dict):
         "groth16_quotient",
         "pairing",
         "g2_msm",
+        "groth16_blind",
         "service",
     ):
         base_sec = baseline.get(section, {})

@@ -5,9 +5,10 @@ generators behind every Hyrax row commitment, and the Groth16 proving-key
 queries (G1 and G2), which are reused across proofs.  Precomputing shifted
 multiples of each base turns those MSMs into pure table lookups:
 
-* :class:`FixedBaseTable` — a dense digit table for one heavily reused point
-  (the G1 and G2 generators in the trusted setup).  A scalar mul becomes ``~254/w`` mixed additions with **no
-  doublings**.
+* :class:`FixedBaseTable` — a dense signed-digit table for one heavily
+  reused point (the G1 and G2 generators in the trusted setup, and the
+  per-key points the Groth16 prover's blinding terms multiply).  A scalar
+  mul becomes ``~254/w`` mixed additions with **no doublings**.
 * :class:`FixedBaseMSM` — per base point, the shifted copies
   ``2^(i*step) * P_j``.  An MSM then scatters signed digits into a *single*
   shared bucket space (the window shift is baked into the point, so digits
@@ -20,6 +21,8 @@ multiples of each base turns those MSMs into pure table lookups:
 * :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
   the first sighting of a base vector uses the generic Pippenger MSM, the
   second builds tables.  One-shot callers never pay the precompute.
+  :func:`fixed_base_table` hands out dense single-point tables from the
+  same cache under the same rules.
 
 Everything here takes its group from the points it is given (see
 :class:`~repro.curve.bn254.GroupOps`).  G2 bases are converted to int
@@ -28,7 +31,7 @@ tuples once, when a table is built, and results convert back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from .bn254 import (
     G1_OPS,
@@ -46,6 +49,11 @@ from .msm import fold_scalar, signed_digits
 _SCALAR_BITS = CURVE_ORDER.bit_length()
 
 _G1_MSM_WINDOW = 8
+
+# Signed-digit window of a :class:`FixedBaseTable`: 51 windows of 16
+# points, fewer than the 64 x 15 of an unsigned w=4 table, for ~51
+# additions per mul instead of ~60 (PERF.md "Groth16 blinding terms").
+_TABLE_WINDOW = 5
 
 # A table stored at step ``s`` can run any window that is a multiple of
 # ``s`` up to this bound, the largest window any table here runs
@@ -108,64 +116,75 @@ def _window_costs(
     }
 
 
-def table_cost(points: Sequence[AffinePoint]) -> int:
-    """Memory of the :class:`FixedBaseMSM` over ``points`` in units of one
-    G1 base's table — the unit of the cache's table budget."""
+def _table_windows(window: int) -> int:
+    """Signed-digit windows of a folded scalar (at most 253 bits) plus its
+    carry."""
+    return (_SCALAR_BITS - 1 + window) // window
+
+
+def table_cost(points: Sequence[AffinePoint], dense: bool = False) -> int:
+    """Memory of the table over ``points`` in units of one G1 base's
+    :class:`FixedBaseMSM` table — the unit of the cache's table budget.
+
+    ``dense`` prices a :class:`FixedBaseTable` per point instead: ~25 units
+    for a G1 point, ~50 for a G2 one.
+    """
     ops = _group_of_any(points)
-    ints = _num_windows(_msm_window(ops, len(points))) * ops.coords
+    if dense:
+        per_point = _table_windows(_TABLE_WINDOW) << (_TABLE_WINDOW - 1)
+    else:
+        per_point = _num_windows(_msm_window(ops, len(points)))
     unit = _num_windows(_G1_MSM_WINDOW) * G1_OPS.coords
-    return -(-len(points) * ints // unit)
+    return -(-len(points) * per_point * ops.coords // unit)
 
 
 class FixedBaseTable:
-    """Dense windowed table for one reused point.
+    """Dense signed-digit table for one reused point.
 
     Window ``i`` stores ``d * 2^(i*w) * P`` for every digit ``d`` in
-    ``1..2^w-1``, so ``mul`` is one mixed addition per window and nothing
-    else.  Storage is ``(254/w) * (2^w - 1)`` affine points — w=4 keeps that
-    under a thousand, the sweet spot for points reused hundreds of times.
+    ``1..2^(w-1)``.  ``mul`` folds its scalar into ``(-r/2, r/2]``, recodes
+    it into signed digits and adds one stored point per non-zero digit,
+    negated for a negative one — nothing else.  Storage is
+    ``ceil(254/w) * 2^(w-1)`` affine points: 816 at the default w=5.
     """
 
-    def __init__(self, point: AffinePoint, window: int = 4):
+    def __init__(self, point: AffinePoint, window: int = _TABLE_WINDOW):
         self.point = point
         self.window = window
-        self.num_windows = (_SCALAR_BITS + window - 1) // window
+        self.num_windows = _table_windows(window)
         self.tables: List[List[tuple]] = []
         if point is None:
             return
         self.ops = ops = group_of(point)
-        add = ops.jac_add
-        digits_per_window = (1 << window) - 1
-        jacs: List[tuple] = []
+        double = ops.jac_double
+        # The window bases 2^(i*w) * P from one doubling chain, then digit
+        # d of every window at once: one batch-affine round per digit.
         base = ops.to_jac(ops.decode(point))
-        for _ in range(self.num_windows):
-            acc = base
-            for _d in range(digits_per_window):
-                jacs.append(acc)
-                acc = add(acc, base)
-            base = acc  # (2^w - 1) * base + base = 2^w * base
-        flat = ops.normalize_batch(jacs)
-        self.tables = [
-            flat[i * digits_per_window:(i + 1) * digits_per_window]
-            for i in range(self.num_windows)
-        ]
+        jacs = [base]
+        for _ in range(self.num_windows - 1):
+            for _ in range(window):
+                base = double(base)
+            jacs.append(base)
+        bases = ops.normalize_batch(jacs)
+        columns = [bases]
+        for _d in range((1 << (window - 1)) - 1):
+            columns.append(ops.pairwise_add(columns[-1], bases))
+        self.tables = [list(row) for row in zip(*columns)]
 
     def mul(self, scalar: int) -> AffinePoint:
         """``scalar * P`` via table lookups (matches ``multiply``)."""
-        scalar %= CURVE_ORDER
+        scalar = fold_scalar(scalar)
         if scalar == 0 or self.point is None:
             return None
         ops = self.ops
-        add_affine = ops.jac_add_affine
-        mask = (1 << self.window) - 1
+        add_affine, neg = ops.jac_add_affine, ops.neg
         acc = ops.jac_infinity
-        i = 0
-        while scalar:
-            d = scalar & mask
-            if d:
-                acc = add_affine(acc, self.tables[i][d - 1])
-            scalar >>= self.window
-            i += 1
+        digits = signed_digits(scalar, self.window, self.num_windows)
+        for row, d in zip(self.tables, digits):
+            if d > 0:
+                acc = add_affine(acc, row[d - 1])
+            elif d:
+                acc = add_affine(acc, neg(row[-d - 1]))
         return ops.encode(ops.to_affine(acc))
 
 
@@ -321,32 +340,52 @@ class FixedBaseMSM:
 
 
 class _CacheEntry:
-    __slots__ = ("points", "table", "hits")
+    """One label's base vector, its promotion count and, once promoted,
+    its table: a :class:`FixedBaseMSM`, or for a ``dense`` entry (one
+    point) a :class:`FixedBaseTable`."""
 
-    def __init__(self, points: Sequence[AffinePoint]):
+    __slots__ = ("points", "dense", "table", "hits")
+
+    def __init__(self, points: Sequence[AffinePoint], dense: bool):
         self.points = points
-        self.table: Optional[FixedBaseMSM] = None
+        self.dense = dense
+        self.table: Optional[Union[FixedBaseMSM, FixedBaseTable]] = None
         self.hits = 0
 
+    def cost(self) -> int:
+        return table_cost(self.points, self.dense)
 
-# LRU keyed by caller label; sized for ~6 proving keys (5 labels each)
-# resident at once so rotating among a few keys never churns out a
-# half-promoted entry or a built table.  A second, size-based bound caps
-# the total table footprint of *promoted* entries, in units of one G1
-# base's table (see :func:`table_cost`): each promoted G1 base pins ~33
-# affine tuples of window table, a G2 base two to three times the ints, so
-# without it a few huge proving keys could pin gigabytes for the life of
-# the process.
+    def build(self) -> None:
+        if self.dense:
+            self.table = FixedBaseTable(self.points[0])
+        else:
+            self.table = FixedBaseMSM(self.points)
+        _evict_oversized_tables(keep=self)
+
+
+# LRU keyed by caller label; sized for ~6 proving keys (9 labels each:
+# five query MSMs and four blinding points) resident at once so rotating
+# among a few keys never churns out a half-promoted entry or a built
+# table.  A second, size-based bound caps the total table footprint of
+# *promoted* entries, in units of one G1 base's table (see
+# :func:`table_cost`): each promoted G1 base pins ~33 affine tuples of
+# window table, a G2 base two to three times the ints, a dense table 25
+# (G1) or 50 (G2) units, so without it a few huge proving keys could pin
+# gigabytes for the life of the process.
 _FIXED_BASE_CACHE: Dict[object, _CacheEntry] = {}
-_CACHE_LIMIT = 30
+_CACHE_LIMIT = 54
 _CACHE_TABLE_POINT_LIMIT = 1 << 14
 
 
-def _cache_entry_for(label: object, points: Sequence[AffinePoint]) -> _CacheEntry:
+def _cache_entry_for(
+    label: object, points: Sequence[AffinePoint], dense: bool = False
+) -> _CacheEntry:
     """Find-or-create the cache entry for ``label``, enforcing the
     points-identity/content reset, back-of-dict LRU reinsertion, and size
     bound — the one place those invariants live."""
     entry = _FIXED_BASE_CACHE.pop(label, None)
+    if entry is not None and entry.dense != dense:
+        entry = None
     if entry is not None and entry.points is not points:
         # Identity miss: fall back to a content check so a rehydrated copy
         # of the same base vector (a proving key reloaded from disk under
@@ -359,7 +398,7 @@ def _cache_entry_for(label: object, points: Sequence[AffinePoint]) -> _CacheEntr
         else:
             entry = None
     if entry is None:
-        entry = _CacheEntry(points)
+        entry = _CacheEntry(points, dense)
     # Re-insert at the back: LRU order, so hot labels survive eviction.
     _FIXED_BASE_CACHE[label] = entry
     while len(_FIXED_BASE_CACHE) > _CACHE_LIMIT:
@@ -388,8 +427,7 @@ def fixed_base_msm(
     entry = _cache_entry_for(label, points)
     entry.hits += 1
     if entry.table is None and entry.hits >= build_after:
-        entry.table = FixedBaseMSM(points)
-        _evict_oversized_tables(keep=entry)
+        entry.build()
     if entry.table is not None:
         return entry.table.msm(scalars)
     if len(scalars) < len(points):
@@ -397,8 +435,29 @@ def fixed_base_msm(
     return _generic_msm(points, scalars)
 
 
-def prewarm_fixed_base(label: object, points: Sequence[AffinePoint]) -> None:
-    """Eagerly build the window tables for a base vector.
+def fixed_base_table(
+    label: object, point: AffinePoint
+) -> Optional[FixedBaseTable]:
+    """The dense table for one point reused under ``label``, or ``None``
+    until the cache promotes it.
+
+    Same entry rules as :func:`fixed_base_msm` (content check, LRU, table
+    budget): the second sighting of ``point`` under ``label`` builds the
+    table.  On ``None`` the caller multiplies generically, so a one-shot
+    caller never pays the precompute.
+    """
+    entry = _cache_entry_for(label, (point,), dense=True)
+    entry.hits += 1
+    if entry.table is None and entry.hits >= 2:
+        entry.build()
+    return entry.table
+
+
+def prewarm_fixed_base(
+    label: object, points: Sequence[AffinePoint], dense: bool = False
+) -> None:
+    """Eagerly build the window tables for a base vector (with ``dense``,
+    the :class:`FixedBaseTable` of the single point in ``points``).
 
     Promote-on-reuse makes the first two MSMs under a label pay generic
     Pippenger prices — right for one-shot callers, wrong for a pool
@@ -406,25 +465,22 @@ def prewarm_fixed_base(label: object, points: Sequence[AffinePoint]) -> None:
     proving key.  Such callers warm the cache up front so every proof in
     the chunk, including the first, runs at table speed.
     """
-    entry = _cache_entry_for(label, points)
+    entry = _cache_entry_for(label, points, dense)
     if entry.table is None:
-        entry.table = FixedBaseMSM(points)
-        _evict_oversized_tables(keep=entry)
+        entry.build()
 
 
 def _evict_oversized_tables(keep: _CacheEntry) -> None:
     """Drop the least-recently-used *promoted* entries until the total
     table footprint fits the point budget (the newest table always stays)."""
-    total = sum(
-        table_cost(e.points) for e in _FIXED_BASE_CACHE.values() if e.table
-    )
+    total = sum(e.cost() for e in _FIXED_BASE_CACHE.values() if e.table)
     if total <= _CACHE_TABLE_POINT_LIMIT:
         return
     for lbl in list(_FIXED_BASE_CACHE):
         e = _FIXED_BASE_CACHE[lbl]
         if e.table is None or e is keep:
             continue
-        total -= table_cost(e.points)
+        total -= e.cost()
         del _FIXED_BASE_CACHE[lbl]
         if total <= _CACHE_TABLE_POINT_LIMIT:
             return

@@ -1,10 +1,11 @@
-"""Multi-scalar multiplication (Pippenger bucket method) over BN254 G1/G2.
+"""Multi-scalar multiplication (Straus and Pippenger) over BN254 G1/G2.
 
 MSM dominates Groth16's prover cost, so it gets a real algorithm rather than
 a naive loop.  Two variants live here:
 
-* a classic Jacobian Pippenger (``_msm_jacobian``), kept for tiny inputs
-  where scheduling overhead would dominate, and
+* Straus interleaving (``_msm_straus``) for inputs under 16 points: each
+  point gets a small table of its first multiples and all scalars share
+  one doubling chain, and
 * a signed-digit (wNAF) Pippenger with batch-affine bucket accumulation
   (``_msm_batch_affine``).  Signed digits halve the bucket count (the
   negation of an affine point is free), and every bucket addition within a
@@ -41,8 +42,12 @@ from .bn254 import (
 
 _HALF_ORDER = CURVE_ORDER // 2
 
-# Below this count the Jacobian fallback wins (no batch scheduling to set up).
+# Below this count Straus interleaving wins (no batch scheduling to set up).
 _BATCH_AFFINE_MSM_THRESHOLD = 16
+
+# Signed-digit window of the Straus path: digits in ``[-15, 16]``, a
+# 16-point table per input point.
+_STRAUS_WINDOW = 5
 
 
 def _window_size(n: int) -> int:
@@ -144,15 +149,52 @@ def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
     pts = [decode(pt) for pt in pts]
     if len(pts) >= _BATCH_AFFINE_MSM_THRESHOLD:
         return ops.encode(_msm_batch_affine(pts, scs))
-    # The unsigned paths take the sign on the point instead.
-    neg = ops.neg
-    pts = [neg(pt) if sc < 0 else pt for pt, sc in zip(pts, scs)]
-    scs = [abs(sc) for sc in scs]
-    if len(pts) == 1:
-        acc = ops.to_affine(ops.jac_mul(ops.to_jac(pts[0]), scs[0]))
-    else:
-        acc = _msm_jacobian(pts, scs)
-    return ops.encode(acc)
+    if len(pts) > 1:
+        return ops.encode(_msm_straus(pts, scs))
+    # The unsigned single-point path takes the sign on the point instead.
+    pt = ops.neg(pts[0]) if scs[0] < 0 else pts[0]
+    return ops.encode(ops.to_affine(ops.jac_mul(ops.to_jac(pt), abs(scs[0]))))
+
+
+def _msm_straus(pts: List[tuple], scs: List[int]) -> AffinePoint:
+    """Straus interleaving over signed digits.
+
+    Each point gets the affine multiples ``P, 2P, ..., 2^(c-1) P`` (built
+    for all points together, one shared inversion per multiple), then a
+    single left-to-right pass shares its ``c`` doublings per window
+    across every scalar and adds each point's digit of that window as one
+    mixed addition.  For a
+    few points this beats bucket Pippenger, whose per-window aggregation
+    outweighs the handful of additions it saves, and separate multiplies,
+    which repeat the ~254 doublings per point (PERF.md "Groth16 blinding
+    terms").
+    """
+    ops = group_of(pts[0])
+    c = _STRAUS_WINDOW
+    half = 1 << (c - 1)
+    num_windows = (max(abs(sc) for sc in scs).bit_length() + c) // c
+    double, add_affine, neg = ops.jac_double, ops.jac_add_affine, ops.neg
+    # Multiple d of every point at once: one batch-affine round per d.
+    columns = [pts]
+    for _ in range(half - 1):
+        columns.append(ops.pairwise_add(columns[-1], pts))
+    tables = list(zip(*columns))
+    digits = [signed_digits(sc, c, num_windows) for sc in scs]
+
+    infinity = ops.jac_infinity
+    result = infinity
+    for w in range(num_windows - 1, -1, -1):
+        if result != infinity:
+            for _ in range(c):
+                result = double(result)
+        for table, ds in zip(tables, digits):
+            if w < len(ds):
+                d = ds[w]
+                if d > 0:
+                    result = add_affine(result, table[d - 1])
+                elif d:
+                    result = add_affine(result, neg(table[-d - 1]))
+    return ops.to_affine(result)
 
 
 def _msm_batch_affine(pts: List[tuple], scs: List[int]) -> AffinePoint:
@@ -199,7 +241,13 @@ def _msm_batch_affine(pts: List[tuple], scs: List[int]) -> AffinePoint:
 
 
 def _msm_jacobian(pts: List[tuple], scs: List[int]) -> AffinePoint:
-    """Classic unsigned-window Pippenger in Jacobian coordinates."""
+    """Classic unsigned-window Pippenger in Jacobian coordinates.
+
+    The equivalence-test and benchmark reference (``naive_ops_per_sec``)
+    for small MSMs; ``msm`` runs :func:`_msm_straus` instead, faster at
+    every size below 16 (PERF.md "Groth16 blinding terms").  Scalars must
+    be non-negative: callers put a folded scalar's sign on its point.
+    """
     ops = group_of(pts[0])
     c = _window_size(len(pts))
     num_windows = (max(scs).bit_length() + c - 1) // c

@@ -59,7 +59,8 @@ class ProvingKey:
         covers the shape counts, the per-key random CRS elements
         (``alpha``/``beta``/``delta``, unique per trusted setup), and the
         first/last two points of each G1 query; the fixed-base cache
-        additionally content-checks the base vector itself, so a
+        additionally content-checks every base vector and blinding point
+        it holds a table for (``delta2`` included), so a
         fingerprint collision can never produce a wrong proof.
         """
         fp = getattr(self, "_fingerprint", None)

@@ -10,6 +10,18 @@ Cost profile (what the zkVC paper optimises):
 CRPC shrinks the domain from ``a*b*n`` to ``n``; PSQ empties the A side of
 everything except the actual matrix entries.
 
+The zero-knowledge blinding by the random ``r`` and ``s`` costs scalar
+multiplications on top of the MSMs.  Expanded, ``pi_C = K + H + s*alpha1
++ r*beta1 + rs*delta1 + (s*A_acc + r*B1_acc)``, so every blinding term
+but the last pair multiplies a point fixed per proving key (``r*delta1``
+and ``s*delta2`` in ``pi_A``/``pi_B`` too).  Those five products are
+lookups on dense per-key tables (:func:`~repro.curve.fixed_base.fixed_base_table`,
+promoted on the key's second proof like the query tables; the first
+proof runs ``multiply``), and the pair is one 2-point Straus MSM with
+shared doublings.  This is the same point as the textbook ``pi_C = K + H
++ s*pi_A + r*pi_B1 - rs*delta1`` (``pi_B1`` a G1 copy of ``pi_B``), so
+the proof bytes are those of that form.
+
 The quotient runs on a *same-size* coset: ``deg h <= N - 2``, so ``N``
 evaluations anywhere off the domain determine it, and on the coset
 ``g * <omega_N>`` the vanishing polynomial is the constant ``t(g*w^i) =
@@ -26,8 +38,9 @@ from __future__ import annotations
 import secrets
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..curve.bn254 import CURVE_ORDER, add, multiply, neg
-from ..curve.fixed_base import fixed_base_msm
+from ..curve.bn254 import CURVE_ORDER, AffinePoint, add, multiply
+from ..curve.fixed_base import fixed_base_msm, fixed_base_table
+from ..curve.msm import msm
 from ..field import vector as _vector
 from ..field.ntt import (
     NTTPlan,
@@ -44,6 +57,15 @@ R = CURVE_ORDER
 
 # Coset generator for the quotient computation; any non-domain element works.
 COSET_GENERATOR = 7
+
+#: Cache label of every per-key point the blinding terms multiply, by
+#: ``ProvingKey`` attribute; ``Groth16Backend.warm`` builds the same tables.
+BLINDING_LABELS = {
+    "delta_g1": "groth16-delta1",
+    "alpha_g1": "groth16-alpha1",
+    "beta_g1": "groth16-beta1",
+    "delta_g2": "groth16-delta2",
+}
 
 
 class _QuotientContext:
@@ -187,6 +209,18 @@ def _compute_h_reference(
     return h_coeffs[: domain_size - 1]
 
 
+def _blinding_muls(
+    pk: ProvingKey, fp: bytes, attr: str, scalars: Sequence[int]
+) -> List[AffinePoint]:
+    """``k * pk.<attr>`` for each ``k``: lookups on the point's per-key
+    table once the cache has promoted it, generic ``multiply`` before."""
+    point = getattr(pk, attr)
+    table = fixed_base_table((BLINDING_LABELS[attr], fp), point)
+    if table is None:
+        return [multiply(point, k) for k in scalars]
+    return [table.mul(k) for k in scalars]
+
+
 def prove(
     pk: ProvingKey,
     instance: R1CSInstance,
@@ -202,26 +236,33 @@ def prove(
     r = rng() % R
     s = rng() % R
 
-    # The query bases are fixed per proving key and reused across proofs,
-    # so all five MSMs (four in G1, one in G2) go through the fixed-base
-    # cache: the second proof under the same key builds window tables and
-    # every later MSM runs with no doublings at all.  Labels carry the key's content fingerprint, so
-    # a rehydrated copy of the same key (a pool worker reloading it from
-    # the KeyStore) lands on the same cache slot and keeps the warm
-    # tables; the cache's own content check on the points list resets any
-    # entry whose bases genuinely differ.
+    # The query bases and the blinding points are fixed per proving key
+    # and reused across proofs, so the five query MSMs (four in G1, one in
+    # G2) and the four blinding points go through the fixed-base cache:
+    # the second proof under the same key builds tables and every later
+    # proof runs them with no doublings at all.  Labels carry the key's
+    # content fingerprint, so a rehydrated copy of the same key (a pool
+    # worker reloading it from the KeyStore) lands on the same cache slot
+    # and keeps the warm tables; the cache's own content check on the
+    # points resets any entry whose bases genuinely differ.
     fp = pk.fingerprint()
+    r_delta1, rs_delta1 = _blinding_muls(pk, fp, "delta_g1", (r, r * s % R))
+    (s_alpha1,) = _blinding_muls(pk, fp, "alpha_g1", (s,))
+    (r_beta1,) = _blinding_muls(pk, fp, "beta_g1", (r,))
+    (s_delta2,) = _blinding_muls(pk, fp, "delta_g2", (s,))
+
     # pi_A = alpha + sum c_i u_i(tau) + r*delta
     a_acc = fixed_base_msm(("groth16-a", fp), pk.a_query, assignment)
-    pi_a = add(add(pk.alpha_g1, a_acc), multiply(pk.delta_g1, r))
+    pi_a = add(add(pk.alpha_g1, a_acc), r_delta1)
 
-    # pi_B (G2) = beta + sum c_i v_i(tau) + s*delta ; G1 copy for pi_C.
+    # pi_B (G2) = beta + sum c_i v_i(tau) + s*delta
     b_acc_g2 = fixed_base_msm(("groth16-b2", fp), pk.b_g2_query, assignment)
-    pi_b = add(add(pk.beta_g2, b_acc_g2), multiply(pk.delta_g2, s))
+    pi_b = add(add(pk.beta_g2, b_acc_g2), s_delta2)
     b_acc_g1 = fixed_base_msm(("groth16-b1", fp), pk.b_g1_query, assignment)
-    pi_b_g1 = add(add(pk.beta_g1, b_acc_g1), multiply(pk.delta_g1, s))
 
-    # pi_C = K-query MSM + h(tau)t(tau)/delta + s*A + r*B1 - r*s*delta
+    # pi_C = K + H + s*alpha + r*beta + rs*delta + (s*A_acc + r*B1_acc),
+    # which equals K + H + s*pi_A + r*pi_B1 - rs*delta with
+    # pi_B1 = beta1 + B1_acc + s*delta1.
     witness = list(assignment[pk.num_public:])
     k_acc = fixed_base_msm(("groth16-k", fp), pk.k_query, witness)
 
@@ -229,8 +270,7 @@ def prove(
     h_acc = fixed_base_msm(("groth16-h", fp), pk.h_query, h_coeffs)
 
     pi_c = add(k_acc, h_acc)
-    pi_c = add(pi_c, multiply(pi_a, s))
-    pi_c = add(pi_c, multiply(pi_b_g1, r))
-    pi_c = add(pi_c, neg(multiply(pk.delta_g1, r * s % R)))
+    for term in (s_alpha1, r_beta1, rs_delta1, msm([a_acc, b_acc_g1], [s, r])):
+        pi_c = add(pi_c, term)
 
     return Proof(a=pi_a, b=pi_b, c=pi_c)

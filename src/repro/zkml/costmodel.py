@@ -48,6 +48,9 @@ class PrimitiveRates:
     g1_fixed_msm_per_point_s: float = 0.0
     # The same for G2: the Groth16 prover's pi_B MSM over the B query.
     g2_fixed_msm_per_point_s: float = 0.0
+    # One lookup on a dense per-point G2 table: the Groth16 prover's
+    # s*delta2 once the key's blinding tables are built.
+    g2_table_mul_s: float = 0.0
 
 
 def _best_of(fn, repeats: int = 3, timer=time.perf_counter) -> float:
@@ -91,6 +94,13 @@ def measure_rates() -> PrimitiveRates:
     g2_mul = _best_of(g2_muls) / 4
 
     g2_table = FixedBaseTable(g2)
+
+    def g2_table_muls():
+        for i in range(4):
+            g2_table.mul(sc + i)
+
+    g2_table_mul = _best_of(g2_table_muls) / 4
+
     g2_pts = [g2_table.mul(i + 2) for i in range(64)]
     g2_fb = FixedBaseMSM(g2_pts)
     g2_fixed_msm = _best_of(lambda: g2_fb.msm(scs)) / 64
@@ -117,6 +127,7 @@ def measure_rates() -> PrimitiveRates:
         pairing_s=pairing_s,
         g1_fixed_msm_per_point_s=g1_fixed_msm,
         g2_fixed_msm_per_point_s=g2_fixed_msm,
+        g2_table_mul_s=g2_table_mul,
     )
 
 
@@ -144,15 +155,16 @@ class CostModel:
         g2_points = cost.b_wires
         ntt_elems = 9 * 2 * domain  # 3 intt + 3 coset-ntt + back, x2 size
         matvec = cost.terms
-        # The prover's queries (G1 and the G2 B query) are fixed per
-        # proving key and served from cached window tables (see
-        # groth16/prove.py); pi_B's s*delta term is one G2 scalar mult.
+        # The prover's queries (G1 and the G2 B query) and the points its
+        # blinding terms multiply are fixed per proving key and served from
+        # cached tables (see groth16/prove.py).  Of the blinding terms only
+        # pi_B's s*delta2 is charged: one dense G2 table lookup.
         msm_rate = r.g1_fixed_msm_per_point_s or r.g1_msm_per_point_s
         g2_rate = r.g2_fixed_msm_per_point_s or r.g2_mul_s
         t = (
             msm_points * msm_rate
             + g2_points * g2_rate
-            + r.g2_mul_s
+            + (r.g2_table_mul_s or r.g2_mul_s)
             + ntt_elems * r.ntt_per_elem_s * max(1, math.log2(domain) / 12)
             + matvec * r.field_mul_s * 2
         )
