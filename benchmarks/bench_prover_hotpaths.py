@@ -24,8 +24,11 @@ Times the dominant prover kernels on this machine:
   same-size-coset planned pipeline over flat R1CS kernels versus the seed
   doubled-domain reference;
 * **pairing** keyed by pair count — one full pairing (``"1"``, with the
-  final exponentiation alone as ``final_exp_ops_per_sec``) and the
-  4-pair product check Groth16 verification runs (``"4"``);
+  final exponentiation alone as ``final_exp_ops_per_sec``), the all-live
+  4-pair product check (``"4"``), and the check Groth16 verification
+  runs on a prepared key (``"groth16-prepared"``: 1 live and 2 prepared
+  pairs against a GT target, with the one-time preparation of a key as
+  ``prepare_key_ops_per_sec``); all timed in quick runs;
 * **g2_msm** for 16/32/64 bases — the generic Pippenger MSM and a warm
   fixed-base table over G2, the Groth16 pi_B path;
 * **groth16_blind** — the Groth16 prover's blinding terms: one dense
@@ -75,7 +78,12 @@ from repro.curve.pairing import (  # noqa: E402
 from repro.field import vector  # noqa: E402
 from repro.field.ntt import naive_ntt, ntt, ntt_many  # noqa: E402
 from repro.field.prime_field import BN254_FR_MODULUS, batch_inv_mod  # noqa: E402
+from repro.groth16.keys import VerifyingKey  # noqa: E402
 from repro.groth16.prove import _compute_h, _compute_h_reference  # noqa: E402
+from repro.groth16.verify import (  # noqa: E402
+    clear_prepared_key_cache,
+    prepare_verifying_key,
+)
 from repro.r1cs.system import R1CSInstance  # noqa: E402
 from repro.spartan.commitment import (  # noqa: E402
     HyraxProver,
@@ -430,6 +438,16 @@ def bench_pairing(repeats: int = 1) -> Dict[str, Dict[str, float]]:
     ]
     p, q = pairs[0]
     f = miller_loop_raw(pairs[:1])
+    # A verifying key over the same points: gamma and delta are prepared
+    # ahead, and pairs[3] stands in for (alpha, beta).
+    vk = VerifyingKey(pairs[3][0], pairs[3][1], pairs[1][1], pairs[2][1])
+    pvk = prepare_verifying_key(vk)
+    prepared = [(pairs[1][0], pvk.gamma_g2), (pairs[2][0], pvk.delta_g2)]
+
+    def prepare_key():
+        clear_prepared_key_cache()
+        return prepare_verifying_key(vk)
+
     # One call is ~10 ms: best of at least 5 keeps the number stable.
     n = max(5, repeats)
     return {
@@ -438,6 +456,15 @@ def bench_pairing(repeats: int = 1) -> Dict[str, Dict[str, float]]:
             "final_exp_ops_per_sec": 1 / _timed(lambda: final_exponentiation(f), n),
         },
         "4": {"fast_ops_per_sec": 1 / _timed(lambda: pairing_product_is_one(pairs), n)},
+        "groth16-prepared": {
+            "fast_ops_per_sec": 1 / _timed(
+                lambda: pairing_product_is_one(
+                    pairs[:1], prepared=prepared, expected=pvk.alpha_beta_inv
+                ),
+                n,
+            ),
+            "prepare_key_ops_per_sec": 1 / _timed(prepare_key, n),
+        },
     }
 
 
@@ -556,8 +583,10 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
 
 def _size_order(key: str):
     """Sort entry keys by their leading size (``"2048-int8"`` after
-    ``"2048"``)."""
+    ``"2048"``); keys without one (``"groth16-prepared"``) go last."""
     size, _, variant = key.partition("-")
+    if not size.isdigit():
+        return float("inf"), key
     return int(size), variant
 
 

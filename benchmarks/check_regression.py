@@ -50,7 +50,9 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # engine's kernels against the committed baseline; the paired ``scalar_*``
 # numbers are informational context.
 # ``final_exp_ops_per_sec`` (pairing section) gates the final
-# exponentiation on its own, next to the full pairing and 4-pair product.
+# exponentiation on its own, next to the full pairing, the all-live
+# 4-pair product and the prepared-key Groth16 check
+# (``"groth16-prepared"``, timed in quick runs too).
 # The g2_msm section gates the G2 MSMs (generic and fixed-base, the
 # Groth16 pi_B path) through the same ``fast``/``fixed_base`` metrics.
 # The groth16_blind section gates the prover's blinding terms (dense

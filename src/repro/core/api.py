@@ -69,6 +69,13 @@ class MatmulVerifier:
     public circuit identity ``(backend, strategy, shape)`` plus, for
     backends with trusted setup, an exported verifying key.  Spartan needs
     no key: the circuit description is rebuilt locally from the shape.
+
+    The object holds nothing but that material.  Groth16 verification
+    does reuse per-key work across objects: the process keeps the
+    prepared form of recently used keys (G2 lines and ``e(alpha, beta)``,
+    see :func:`repro.groth16.prepare_verifying_key`) keyed on the key's
+    content, so a verifier rebuilt from the same bytes for every request
+    pays that preparation once per process.
     """
 
     def __init__(
@@ -187,8 +194,9 @@ class MatmulVerifier:
         """Check many bundles at once.
 
         Groth16 bundles share this verifier's key, so they route through
-        the small-exponent batch check (k+3 Miller loops instead of 4k);
-        other backends fall back to per-bundle verification.
+        the small-exponent batch check (one Miller loop over k live and 3
+        prepared pairs instead of 4k pairs); other backends fall back to
+        per-bundle verification.
         """
         if not bundles:
             return True

@@ -23,6 +23,14 @@ Miller loop
     vertical lines of the NAF's negative digits) are dropped; the final
     exponentiation sends them to 1.
 
+Fixed arguments
+    The twist steps never look at ``P``: only ``c0`` and ``c3`` of each
+    line carry ``yP`` and ``xP``.  :func:`prepare_g2` runs the steps once
+    for a fixed ``Q`` at ``P = (1, 1)`` and keeps the lines; the loop then
+    scales them by the actual ``P`` and absorbs them exactly as it would
+    the live lines, so the Miller value is unchanged bit for bit.  The
+    Groth16 verifier prepares the three G2 points of its verifying key.
+
 Final exponentiation
     ``(p^12-1)/r = (p^6-1)(p^2+1) * lambda`` with
     ``lambda = (p^4-p^2+1)/r = l0 + l1 p + l2 p^2 + l3 p^3`` and, for the
@@ -37,6 +45,7 @@ Final exponentiation
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from ..field.extension import Fq2, Fq12, P
@@ -465,47 +474,104 @@ def _add_step(t, qx0: int, qx1: int, qy0: int, qy1: int, xp: int, yp: int):
     return nx + ((ur - vr) % P, (ui - vi) % P) + nz, line
 
 
+#: NAF digits the Miller loop walks, most significant first (the top
+#: digit, 1, is the starting point ``T = Q``)
+_LOOP_DIGITS = tuple(reversed(ATE_NAF[:-1]))
+
+Line = Tuple[int, int, int, int, int, int]
+
+
+@dataclass(frozen=True)
+class PreparedG2:
+    """The Miller-loop lines of a fixed G2 point ``Q``, from
+    :func:`prepare_g2`: one tuple per loop step (the doubling line, then
+    the addition line on a nonzero NAF digit; the last step holds the two
+    correction lines), each evaluated at ``P = (1, 1)``, so ``c0`` still
+    lacks its factor ``yP`` and ``c3`` its factor ``xP``."""
+
+    steps: Tuple[Tuple[Line, ...], ...]
+
+
+def _line_steps(qx0: int, qx1: int, qy0: int, qy1: int, xp: int, yp: int):
+    """Yield the lines of the pair ``(P, Q)``, one tuple per loop step, in
+    the order :class:`PreparedG2` stores them."""
+    t = (qx0, qx1, qy0, qy1, 1, 0)
+    nqy0, nqy1 = -qy0 % P, -qy1 % P
+    for digit in _LOOP_DIGITS:
+        t, dbl = _double_step(t, xp, yp)
+        if digit:
+            sy0, sy1 = (qy0, qy1) if digit > 0 else (nqy0, nqy1)
+            t, add = _add_step(t, qx0, qx1, sy0, sy1, xp, yp)
+            yield dbl, add
+        else:
+            yield (dbl,)
+    # Correction lines: + pi(Q), then - pi^2(Q), both Frobenius images
+    # computed on the twist.
+    (g2r, g2i), (g3r, g3i) = _FROB1[1], _FROB1[2]
+    gamma = _FROB2[1][0]
+    q1x = _f2_mul(qx0, -qx1, g2r, g2i)
+    q1y = _f2_mul(qy0, -qy1, g3r, g3i)
+    t, first = _add_step(t, *q1x, *q1y, xp, yp)
+    _, second = _add_step(t, qx0 * gamma % P, qx1 * gamma % P, qy0, qy1, xp, yp)
+    yield first, second
+
+
+def prepare_g2(q2: Optional[Tuple[Fq2, Fq2]]) -> Optional[PreparedG2]:
+    """Precompute the Miller-loop lines of a fixed G2 point (Costello and
+    Stebila, "Fixed argument pairings", 2010).
+
+    The projective steps on the twist do not depend on ``P``; only the
+    ``c0`` and ``c3`` coefficients of each line carry ``yP`` and ``xP``.
+    Running the steps at ``P = (1, 1)`` leaves those factors for
+    :func:`miller_loop_raw` to apply, so a prepared pair gives the same
+    Miller value, bit for bit, as the live pair.  The point at infinity
+    prepares to ``None`` and, like a live one, contributes 1.
+    """
+    if q2 is None:
+        return None
+    qx0, qx1 = q2[0].coeffs
+    qy0, qy1 = q2[1].coeffs
+    return PreparedG2(tuple(_line_steps(qx0, qx1, qy0, qy1, 1, 1)))
+
+
 def miller_loop_raw(
     pairs: Iterable[Tuple[AffinePoint, Optional[Tuple[Fq2, Fq2]]]],
+    prepared: Iterable[Tuple[AffinePoint, Optional[PreparedG2]]] = (),
 ) -> Fq12Tower:
     """Product of the optimal-ate Miller functions ``f_{6u+2,Q}(P)`` (with
     the two Frobenius correction lines) over ``(P, Q)`` pairs, *without*
     the final exponentiation, as a tower element.
 
+    ``prepared`` holds ``(P, prepare_g2(Q))`` pairs: their lines come from
+    the table, scaled by ``P``'s coordinates, and add no G2 arithmetic.
     Pairs with a point at infinity contribute 1.  One Fq12 squaring per
     NAF digit is shared by every pair.
     """
-    live = []
-    for p1, q2 in pairs:
-        if p1 is None or q2 is None:
-            continue
-        qx0, qx1 = q2[0].coeffs
-        qy0, qy1 = q2[1].coeffs
-        live.append((p1[0], p1[1], qx0, qx1, qy0, qy1))
+    live = [
+        _line_steps(*q2[0].coeffs, *q2[1].coeffs, p1[0], p1[1])
+        for p1, q2 in pairs
+        if p1 is not None and q2 is not None
+    ]
+    fixed = [
+        (p1[0], p1[1], q2.steps)
+        for p1, q2 in prepared
+        if p1 is not None and q2 is not None
+    ]
     f = FQ12_ONE
-    if not live:
+    if not live and not fixed:
         return f
-    ts = [(qx0, qx1, qy0, qy1, 1, 0) for _, _, qx0, qx1, qy0, qy1 in live]
-    for digit in reversed(ATE_NAF[:-1]):
-        f = fq12_square(f)
-        for k, (xp, yp, qx0, qx1, qy0, qy1) in enumerate(live):
-            ts[k], line = _double_step(ts[k], xp, yp)
-            f = _mul_by_line(f, line)
-            if digit:
-                sy0, sy1 = (qy0, qy1) if digit > 0 else (-qy0 % P, -qy1 % P)
-                ts[k], line = _add_step(ts[k], qx0, qx1, sy0, sy1, xp, yp)
+    for k in range(len(_LOOP_DIGITS) + 1):
+        if k < len(_LOOP_DIGITS):
+            f = fq12_square(f)
+        for steps in live:
+            for line in next(steps):
                 f = _mul_by_line(f, line)
-    # Correction lines: + pi(Q), then - pi^2(Q), both Frobenius images
-    # computed on the twist.
-    (g2r, g2i), (g3r, g3i) = _FROB1[1], _FROB1[2]
-    gamma = _FROB2[1][0]
-    for k, (xp, yp, qx0, qx1, qy0, qy1) in enumerate(live):
-        q1x = _f2_mul(qx0, -qx1, g2r, g2i)
-        q1y = _f2_mul(qy0, -qy1, g3r, g3i)
-        ts[k], line = _add_step(ts[k], *q1x, *q1y, xp, yp)
-        f = _mul_by_line(f, line)
-        _, line = _add_step(ts[k], qx0 * gamma % P, qx1 * gamma % P, qy0, qy1, xp, yp)
-        f = _mul_by_line(f, line)
+        for xp, yp, steps in fixed:
+            for c0r, c0i, c3r, c3i, c4r, c4i in steps[k]:
+                f = _mul_by_line(
+                    f,
+                    (c0r * yp % P, c0i * yp % P, c3r * xp % P, c3i * xp % P, c4r, c4i),
+                )
     return f
 
 
@@ -535,11 +601,19 @@ def pairing(q2: Optional[Tuple[Fq2, Fq2]], p1: AffinePoint) -> Fq12:
     return tower_to_flat(final_exponentiation(miller_loop_raw([(p1, q2)])))
 
 
-def pairing_product_is_one(pairs: Sequence[Tuple[AffinePoint, object]]) -> bool:
-    """Check ``prod e(Pi, Qi) == 1`` — the Groth16 verification shape.
+def pairing_product_is_one(
+    pairs: Sequence[Tuple[AffinePoint, object]],
+    prepared: Sequence[Tuple[AffinePoint, Optional[PreparedG2]]] = (),
+    expected: Fq12Tower = FQ12_ONE,
+) -> bool:
+    """Check ``prod e(Pi, Qi) == expected`` — the Groth16 verification
+    shape, with ``expected`` a GT element in tower form (default 1).
 
-    Each element of ``pairs`` is ``(g1_point, g2_point)``; all pairs share
+    Each element of ``pairs`` is ``(g1_point, g2_point)`` and each of
+    ``prepared`` is ``(g1_point, prepare_g2(g2_point))``; all pairs share
     one multi-Miller loop and one final exponentiation.  A degenerate
-    (zero) Miller value, which only malformed points produce, is ``False``.
+    (zero) Miller value, which only malformed points produce, is ``False``
+    whatever ``expected`` is.
     """
-    return final_exponentiation(miller_loop_raw(pairs)) == FQ12_ONE
+    f = final_exponentiation(miller_loop_raw(pairs, prepared))
+    return any(f) and f == expected

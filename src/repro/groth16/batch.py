@@ -10,7 +10,9 @@ loop over k+3 pairs and a single final exponentiation:
 
 Sound because a proof failing its own equation survives the batch only if
 the random r_i hit a specific linear relation (probability ~ 2^-128).
-All proofs must share the same verifying key.
+All proofs must share the same verifying key.  Its ``beta``, ``gamma``
+and ``delta`` enter as prepared pairs (:func:`.verify.prepare_verifying_key`),
+so only the k pairs ``(-r_i A_i, B_i)`` run G2 arithmetic in the loop.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..curve.bn254 import multiply, neg
 from ..curve.msm import msm
 from ..curve.pairing import pairing_product_is_one
 from .keys import Proof, VerifyingKey
-from .verify import prepare_inputs
+from .verify import prepare_inputs, prepare_verifying_key
 
 
 def batch_verify(
@@ -43,10 +45,13 @@ def batch_verify(
     pairs = [
         (neg(multiply(proof.a, r_i)), proof.b) for r_i, proof in zip(coeffs, proofs)
     ]
-    pairs.append((multiply(vk.alpha_g1, sum(coeffs)), vk.beta_g2))
-    pairs.append((combined_statement(vk, statements, coeffs), vk.gamma_g2))
-    pairs.append((msm([proof.c for proof in proofs], coeffs), vk.delta_g2))
-    return pairing_product_is_one(pairs)
+    pvk = prepare_verifying_key(vk)
+    prepared = [
+        (multiply(vk.alpha_g1, sum(coeffs)), pvk.beta_g2),
+        (combined_statement(vk, statements, coeffs), pvk.gamma_g2),
+        (msm([proof.c for proof in proofs], coeffs), pvk.delta_g2),
+    ]
+    return pairing_product_is_one(pairs, prepared=prepared)
 
 
 def combined_statement(

@@ -171,11 +171,13 @@ class CostModel:
         return t * self.correction["groth16"]
 
     def groth16_verify_time(self, num_public: int) -> float:
-        # The 4-pair check is one multi-Miller loop (shared squarings) and
-        # one final exponentiation: measured at 24.5 ms against 12.0 ms for
-        # a single pairing (Xeon, CPython 3.11), so ~2 full pairings.  Plus
-        # the IC MSM.
-        return 2 * self.rates.pairing_s + num_public * self.rates.g1_msm_per_point_s
+        # On a prepared key (a client verifying repeatedly under one key)
+        # the check is one multi-Miller loop over 1 live and 2 prepared
+        # pairs, one final exponentiation and a compare with the cached
+        # e(alpha, beta)^-1: measured at 11.4 ms against 8.6 ms for a
+        # single pairing (best of 8 runs each, Xeon, CPython 3.11), so
+        # ~1.3 pairings.  Plus the IC MSM.
+        return 1.3 * self.rates.pairing_s + num_public * self.rates.g1_msm_per_point_s
 
     @staticmethod
     def groth16_proof_size() -> int:

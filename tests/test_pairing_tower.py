@@ -270,6 +270,6 @@ class TestMalformedInputs:
 
     def test_zero_miller_value_is_false(self, monkeypatch):
         monkeypatch.setattr(
-            PAIRING_MODULE, "miller_loop_raw", lambda pairs: (0,) * 12
+            PAIRING_MODULE, "miller_loop_raw", lambda pairs, prepared=(): (0,) * 12
         )
         assert pairing_product_is_one([(G1, G2)]) is False
