@@ -29,12 +29,18 @@ Times the dominant prover kernels on this machine:
   runs on a prepared key (``"groth16-prepared"``: 1 live and 2 prepared
   pairs against a GT target, with the one-time preparation of a key as
   ``prepare_key_ops_per_sec``); all timed in quick runs;
-* **g2_msm** for 16/32/64 bases — the generic Pippenger MSM and a warm
-  fixed-base table over G2, the Groth16 pi_B path;
-* **groth16_blind** — the Groth16 prover's blinding terms: one dense
-  per-key table ``mul`` in G1 (``"1-g1-table"``) and in G2
-  (``"1-g2-table"``), each against a generic ``multiply``, and the
-  2-point ``msm`` of ``pi_C`` (``"2-msm"``) against two multiplies.
+* **g2_msm** for 16/32/64 bases on uniform scalars — the generic
+  Pippenger MSM and a warm fixed-base table over G2;
+* **groth16_blind** — one dense ``FixedBaseTable`` ``mul`` in G1
+  (``"1-g1-table"``) and in G2 (``"1-g2-table"``), the trusted setup's
+  generator tables, each against a generic ``multiply``, and the Groth16
+  prover's 2-point ``msm`` of ``pi_C`` (``"2-msm"``) against two
+  multiplies;
+* **groth16_query** — a warm step-8 query table on the ``groth16_crpc``
+  A-side shape (88 bases, 56 of them absent, 32 int8 scalars and one
+  appended full-width blinding scalar) in G1 (``"88-g1"``) and G2
+  (``"88-g2"``), MSMs/sec, each against the generic ``msm``; quick runs
+  time both.
 
 Every entry records ops/sec (points/sec for MSM, table-elements/sec for
 sumcheck, vector-elements/sec for commits), so future PRs have a perf
@@ -471,8 +477,9 @@ def bench_pairing(repeats: int = 1) -> Dict[str, Dict[str, float]]:
 def bench_g2_msm(
     sizes=G2_MSM_SIZES, repeats: int = 1
 ) -> Dict[str, Dict[str, float]]:
-    """G2 MSM points/sec: the generic Pippenger and a warm fixed-base
-    table (the Groth16 pi_B path) over distinct random bases."""
+    """G2 MSM points/sec on uniform scalars: the generic Pippenger and a
+    warm fixed-base table over distinct random bases (``groth16_query``
+    times the Groth16 pi_B shape)."""
     rng = random.Random(0x62)
     g2 = FixedBaseTable(g2_generator())
     # One MSM is tens of milliseconds: best of at least 3.
@@ -490,9 +497,10 @@ def bench_g2_msm(
 
 
 def bench_groth16_blind(repeats: int = 1) -> Dict[str, Dict[str, float]]:
-    """The Groth16 blinding terms: scalar muls/sec on a warm dense
-    per-key table (G1, G2) and points/sec of the 2-point ``pi_C`` MSM,
-    each against generic ``multiply`` calls."""
+    """Scalar muls/sec on a dense ``FixedBaseTable`` (G1, G2; the trusted
+    setup multiplies every CRS element on one) and points/sec of the
+    prover's 2-point ``pi_C`` MSM, each against generic ``multiply``
+    calls."""
     rng = random.Random(0xB11D)
     n_runs = SMALL_KERNEL_REPEATS * repeats
     out: Dict[str, Dict[str, float]] = {}
@@ -512,6 +520,33 @@ def bench_groth16_blind(repeats: int = 1) -> Dict[str, Dict[str, float]]:
             lambda: [multiply(p, k) for p, k in zip(pts, scs)], n_runs
         ),
     }
+    return out
+
+
+def bench_groth16_query(repeats: int = 1) -> Dict[str, Dict[str, float]]:
+    """MSMs/sec of a warm step-8 Groth16 query table on the
+    ``groth16_crpc`` A-side shape: 88 bases of which 56 are absent, 32
+    int8 wires (half negative) and one full-width blinding scalar, the
+    ``r`` on the appended ``delta1``.  The generic ``msm`` on the same
+    inputs is the reference."""
+    rng = random.Random(0x9E1)
+    n_runs = SMALL_KERNEL_REPEATS * repeats
+    live = set(rng.sample(range(87), 32))
+    scs = [rng.randint(-128, 127) % R if i in live else 0 for i in range(87)]
+    scs.append(rng.randrange(CURVE_ORDER))
+    out: Dict[str, Dict[str, float]] = {}
+    for group, gen in (("g1", g1_generator()), ("g2", g2_generator())):
+        table = FixedBaseTable(gen)
+        pts = [
+            table.mul(rng.randrange(1, CURVE_ORDER))
+            if i in live or i == 87 else None
+            for i in range(88)
+        ]
+        fb = FixedBaseMSM(pts)
+        out[f"88-{group}"] = {
+            "fast_ops_per_sec": 1 / _timed(lambda: fb.msm(scs), n_runs),
+            "naive_ops_per_sec": 1 / _timed(lambda: msm(pts, scs), n_runs),
+        }
     return out
 
 
@@ -578,6 +613,7 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
         "pairing": bench_pairing(repeats),
         "g2_msm": bench_g2_msm(repeats=repeats),
         "groth16_blind": bench_groth16_blind(repeats),
+        "groth16_query": bench_groth16_query(repeats),
     }
 
 
@@ -603,7 +639,7 @@ def main(argv=None) -> int:
     merge_baseline(args.out, results)
     for section in (
         "msm", "field", "sumcheck", "hyrax_commit", "ntt", "groth16_quotient",
-        "pairing", "g2_msm", "groth16_blind",
+        "pairing", "g2_msm", "groth16_blind", "groth16_query",
     ):
         print(f"[{section}]")
         for size, entry in sorted(

@@ -53,12 +53,14 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # exponentiation on its own, next to the full pairing, the all-live
 # 4-pair product and the prepared-key Groth16 check
 # (``"groth16-prepared"``, timed in quick runs too).
-# The g2_msm section gates the G2 MSMs (generic and fixed-base, the
-# Groth16 pi_B path) through the same ``fast``/``fixed_base`` metrics.
-# The groth16_blind section gates the prover's blinding terms (dense
-# per-key table muls in G1 and G2, the 2-point pi_C MSM), and the msm
+# The g2_msm section gates the G2 MSMs on uniform scalars (generic and
+# fixed-base) through the same ``fast``/``fixed_base`` metrics.
+# The groth16_blind section gates the dense generator-table muls of the
+# trusted setup (G1 and G2) and the prover's 2-point pi_C MSM, and the msm
 # section's ``"2"``/``"8"`` entries the Straus small-MSM path; quick runs
-# time all of them.
+# time all of them.  The groth16_query section gates the prover's warm
+# step-8 query tables (G1 and G2) on the groth16_crpc A-side shape, where
+# each call picks a window dividing the step.
 # The hyrax_commit section's ``"2048-int8"`` entry gates the commit on
 # int8-shaped scalars (half negative), the traffic the matmul provers
 # serve, next to the uniform 254-bit sizes; its ``"32-opening"`` entry
@@ -115,6 +117,7 @@ def _paired_metrics(baseline: dict, fresh: dict):
         "pairing",
         "g2_msm",
         "groth16_blind",
+        "groth16_query",
         "service",
     ):
         base_sec = baseline.get(section, {})

@@ -233,49 +233,20 @@ class Groth16Backend(ProofBackend):
         artifacts: Groth16Artifacts,
         circuit: Optional[MatmulCircuit] = None,
     ) -> None:
-        """Build the fixed-base tables for every PK query and every
-        blinding point now.
+        """Build the fixed-base tables for the five query MSMs now.
 
-        The labels mirror :func:`repro.groth16.prove.prove` exactly, so
-        each subsequent proof under this keypair starts at table speed
-        instead of paying two generic Pippenger MSMs per query and
-        generic multiplications by the blinding points first.
-
-        Warming stops once the cache's table budget is spent: a proving
-        key whose queries exceed the budget would otherwise evict the
-        tables just built for its own earlier queries — expensive
-        construction thrown away before the first proof.  Every table
-        is charged at its real size: a G2 one at two to three G1 ones
-        per base, a dense blinding table at ~25 (G1) or ~50 (G2) bases.
+        The labels and base vectors are the ones
+        :func:`repro.groth16.prove.prove` runs on (:func:`query_bases`,
+        the blinding points included), so each subsequent proof under
+        this keypair starts at table speed instead of paying two generic
+        Pippenger MSMs per query first.  The cache's table budget still
+        applies: a key whose tables outgrow it keeps only the newest.
         """
-        from ..curve.fixed_base import (
-            _CACHE_TABLE_POINT_LIMIT,
-            prewarm_fixed_base,
-            table_cost,
-        )
-        from ..groth16.prove import BLINDING_LABELS
+        from ..curve.fixed_base import fixed_base_msm
+        from ..groth16.prove import query_bases
 
-        pk = artifacts.keypair.pk
-        fp = pk.fingerprint()
-        budget = _CACHE_TABLE_POINT_LIMIT
-        # The blinding tables go first: a few dozen units each, and each
-        # one replaces a generic multiplication on every proof.
-        tables = [
-            (label, (getattr(pk, attr),), True)
-            for attr, label in BLINDING_LABELS.items()
-        ] + [
-            ("groth16-a", pk.a_query, False),
-            ("groth16-b2", pk.b_g2_query, False),
-            ("groth16-b1", pk.b_g1_query, False),
-            ("groth16-k", pk.k_query, False),
-            ("groth16-h", pk.h_query, False),
-        ]
-        for label, points, dense in tables:
-            cost = table_cost(points, dense)
-            if cost > budget:
-                continue  # promote-on-reuse decides for the oversized rest
-            budget -= cost
-            prewarm_fixed_base((label, fp), points, dense)
+        for label, bases in query_bases(artifacts.keypair.pk):
+            fixed_base_msm(label, bases, (), build_after=1)
 
 
 # -- Spartan -------------------------------------------------------------------

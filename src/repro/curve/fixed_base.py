@@ -6,23 +6,20 @@ queries (G1 and G2), which are reused across proofs.  Precomputing shifted
 multiples of each base turns those MSMs into pure table lookups:
 
 * :class:`FixedBaseTable` — a dense signed-digit table for one heavily
-  reused point (the G1 and G2 generators in the trusted setup, and the
-  per-key points the Groth16 prover's blinding terms multiply).  A scalar
+  reused point (the G1 and G2 generators in the trusted setup).  A scalar
   mul becomes ``~254/w`` mixed additions with **no doublings**.
 * :class:`FixedBaseMSM` — per base point, the shifted copies
-  ``2^(i*step) * P_j``.  An MSM then scatters signed digits into a *single*
-  shared bucket space (the window shift is baked into the point, so digits
-  from every window can share buckets) and reduces it with batch-affine
-  additions — no doublings, no per-window passes.  Scalars are folded
-  into ``(-r/2, r/2]`` first, so a small negative one costs a digit or
-  two, like its magnitude.  A table stored at a step finer than 8 picks
-  each call's window (a multiple of the step) from the scalars it is
-  given.
+  ``2^(i*step) * P_j``.  An MSM then scatters signed digits into shared
+  bucket spaces (the window shift is baked into the point, so digits from
+  every window can share buckets) and reduces them with batch-affine
+  additions — no per-window passes.  Scalars are folded into
+  ``(-r/2, r/2]`` first, so a small negative one costs a digit or two,
+  like its magnitude.  Each call picks its window from the scalars it is
+  given: a multiple of the stored step (every few stored shifts), or a
+  divisor of it (a few bucket spaces, combined with doublings).
 * :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
   the first sighting of a base vector uses the generic Pippenger MSM, the
   second builds tables.  One-shot callers never pay the precompute.
-  :func:`fixed_base_table` hands out dense single-point tables from the
-  same cache under the same rules.
 
 Everything here takes its group from the points it is given (see
 :class:`~repro.curve.bn254.GroupOps`).  G2 bases are converted to int
@@ -31,13 +28,12 @@ tuples once, when a table is built, and results convert back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bn254 import (
     G1_OPS,
     AffinePoint,
     CURVE_ORDER,
-    GroupOps,
     _group_of_any,
     batch_affine_reduce,
     batch_affine_weighted_bucket_sums,
@@ -48,16 +44,19 @@ from .msm import fold_scalar, signed_digits
 
 _SCALAR_BITS = CURVE_ORDER.bit_length()
 
-_G1_MSM_WINDOW = 8
+# Stored step of a :class:`FixedBaseMSM` built without one (the Groth16
+# query tables, G1 and G2): 33 shifts per base, and calls run w = 2, 4 or 8
+# (PERF.md "Groth16 query tables").
+_DEFAULT_STEP = 8
 
 # Signed-digit window of a :class:`FixedBaseTable`: 51 windows of 16
 # points, fewer than the 64 x 15 of an unsigned w=4 table, for ~51
 # additions per mul instead of ~60 (PERF.md "Groth16 blinding terms").
 _TABLE_WINDOW = 5
 
-# A table stored at step ``s`` can run any window that is a multiple of
-# ``s`` up to this bound, the largest window any table here runs
-# (:func:`_msm_window`) and the largest one measured.
+# A table stored at step ``s`` can run any divisor of ``s`` and any
+# multiple of ``s`` up to this bound, the largest window any table here
+# runs and the largest one measured.
 _MAX_CALL_WINDOW = 8
 
 # Cost of aggregating one bucket, in bucket insertions, in the estimate
@@ -68,23 +67,20 @@ _AGG_WEIGHT_MANY = 1
 _AGG_WEIGHT_ONE = 1.5
 
 
-def _msm_window(ops: GroupOps, n: int) -> int:
-    """Window of a :class:`FixedBaseMSM` over ``n`` bases.
+def _candidate_windows(step: int) -> Tuple[int, ...]:
+    """Windows a table stored at ``step`` runs: every divisor of the step
+    from 2 up (``step // w`` bucket spaces over the stored shifts), and
+    every multiple of it up to :data:`_MAX_CALL_WINDOW` (every
+    ``(w // step)``-th stored shift)."""
+    divisors = tuple(w for w in range(2, step) if step % w == 0)
+    return divisors + tuple(
+        range(step, max(step, _MAX_CALL_WINDOW) + 1, step)
+    )
 
-    An MSM costs about ``n * 254/w`` batched bucket insertions plus
-    ``2^w`` Jacobian additions to aggregate the buckets.  G1 keeps w=8
-    throughout.  A G2 Jacobian addition costs ~3x a G1 one, so at the base
-    counts of small proving keys the aggregation term shows: measured
-    (CPython 3.11, x86-64) w=6 is fastest below 32 G2 bases, w=7 below
-    128 and w=8 from there on.
-    """
-    if ops is G1_OPS:
-        return _G1_MSM_WINDOW
-    if n < 32:
-        return 6
-    if n < 128:
-        return 7
-    return 8
+
+def _spaces(step: int, w: int) -> int:
+    """Bucket spaces of window ``w`` on a table stored at ``step``."""
+    return max(1, step // w)
 
 
 def _num_windows(window: int) -> int:
@@ -93,25 +89,30 @@ def _num_windows(window: int) -> int:
 
 
 def _window_costs(
-    windows: Sequence[int], folded_rows: Sequence[Sequence[int]], weight: float
+    windows: Sequence[int],
+    step: int,
+    folded_rows: Sequence[Sequence[int]],
+    shifted: Sequence[Optional[list]],
+    weight: float,
 ) -> Dict[int, float]:
     """Estimated cost of an MSM call at each candidate window.
 
     ``sum_j ceil((bits_j + 1) / w)`` bucket insertions over the call's
-    non-zero folded scalars, plus ``weight * rows * 2^w`` for aggregating
-    each row's ``2^(w-1)`` buckets.  The scalars enter through one
-    bit-length histogram.
+    non-zero folded scalars whose base is present (``shifted[j]`` not
+    ``None``), plus ``weight * rows * spaces * 2^w`` for aggregating each
+    row's ``2^(w-1)`` buckets in each of its bucket spaces.  The scalars
+    enter through one bit-length histogram.
     """
     hist = [0] * (_SCALAR_BITS + 1)
     for row in folded_rows:
-        for sc in row:
-            if sc:
+        for sc, base in zip(row, shifted):
+            if sc and base is not None:
                 hist[abs(sc).bit_length()] += 1
     sizes = [(bits, count) for bits, count in enumerate(hist) if count]
     rows = len(folded_rows)
     return {
         w: sum(count * ((bits + w) // w) for bits, count in sizes)
-        + weight * rows * (1 << w)
+        + weight * rows * _spaces(step, w) * (1 << w)
         for w in windows
     }
 
@@ -120,22 +121,6 @@ def _table_windows(window: int) -> int:
     """Signed-digit windows of a folded scalar (at most 253 bits) plus its
     carry."""
     return (_SCALAR_BITS - 1 + window) // window
-
-
-def table_cost(points: Sequence[AffinePoint], dense: bool = False) -> int:
-    """Memory of the table over ``points`` in units of one G1 base's
-    :class:`FixedBaseMSM` table — the unit of the cache's table budget.
-
-    ``dense`` prices a :class:`FixedBaseTable` per point instead: ~25 units
-    for a G1 point, ~50 for a G2 one.
-    """
-    ops = _group_of_any(points)
-    if dense:
-        per_point = _table_windows(_TABLE_WINDOW) << (_TABLE_WINDOW - 1)
-    else:
-        per_point = _num_windows(_msm_window(ops, len(points)))
-    unit = _num_windows(_G1_MSM_WINDOW) * G1_OPS.coords
-    return -(-len(points) * per_point * ops.coords // unit)
 
 
 class FixedBaseTable:
@@ -193,31 +178,35 @@ class FixedBaseMSM:
     buckets.
 
     Per base only the shifted copies ``2^(i*step) * P_j`` are stored (33
-    points at G1's step 8), built with a doubling chain and one batched
-    normalisation.  Because each window's shift lives in the precomputed
-    point, the digits of *every* window land in one bucket space of
-    ``2^(w-1)`` signed buckets; the whole MSM is ``n * 254/w`` batch-affine
-    bucket insertions plus a single aggregation sweep.
+    points at the default step 8), built with a doubling chain and one
+    batched normalisation.  Because each window's shift lives in the
+    precomputed point, the digits of *every* window land in one bucket
+    space of ``2^(w-1)`` signed buckets; at ``w = step`` the whole MSM is
+    ``n * 254/w`` batch-affine bucket insertions plus a single aggregation
+    sweep.
 
-    ``window`` is the stored step and defaults to the group's choice for
-    the initial base count, the only window such a table runs.  A finer
-    step lets each call run any multiple of it up to 8: window ``w`` takes
-    every ``(w // step)``-th stored shift, and the call picks the ``w``
-    that :func:`_window_costs` estimates cheapest for its scalars.  The
-    window schedules the sum; it never changes it.
+    ``window`` is the stored step (default 8).  Each call runs the
+    candidate window (``self.windows``) that :func:`_window_costs`
+    estimates cheapest for its scalars:
+
+    * a multiple ``w`` of the step takes every ``(w // step)``-th stored
+      shift, still one bucket space;
+    * a divisor ``w`` of the step uses ``k = step // w`` bucket spaces:
+      digit ``i`` takes stored shift ``i // k`` into space ``i % k``, and
+      the spaces combine high to low with ``w`` doublings between them
+      (Brickell–Gordon–McCurley–Wilson).  Small scalars then pay small
+      windows' few buckets without a finer table.
+
+    The window schedules the sum; it never changes it.
     """
 
     def __init__(
         self, points: Sequence[AffinePoint] = (), window: Optional[int] = None
     ):
         self.ops = _group_of_any(points)
-        if window is None:
-            window = _msm_window(self.ops, len(points))
-        self.step = window
-        self.windows = tuple(
-            range(window, max(window, _MAX_CALL_WINDOW) + 1, window)
-        )
-        self.num_windows = _num_windows(window)
+        self.step = _DEFAULT_STEP if window is None else window
+        self.windows = _candidate_windows(self.step)
+        self.num_windows = _num_windows(self.step)
         self.shifted: List[Optional[List[tuple]]] = []
         if points:
             self.extend(points)
@@ -263,12 +252,15 @@ class FixedBaseMSM:
         the lowest estimated cost."""
         if len(self.windows) == 1:
             return self.windows[0]
-        costs = _window_costs(self.windows, folded_rows, weight)
+        costs = _window_costs(
+            self.windows, self.step, folded_rows, self.shifted, weight
+        )
         return min(costs, key=costs.__getitem__)
 
     def _shifts(self, w: int, width: int) -> List[Optional[List[tuple]]]:
-        """The first ``width`` bases' shifts at window ``w``: digit ``i``
-        of a scalar is ``row[i]`` of its base's list."""
+        """The first ``width`` bases' shifts at a window ``w`` that is a
+        multiple of the step: digit ``i`` of a scalar is ``row[i]`` of its
+        base's list."""
         k = w // self.step
         if k == 1:
             return self.shifted
@@ -295,97 +287,150 @@ class FixedBaseMSM:
                 elif d:
                     groups[base - d - 1].append(neg(row[i]))
 
+    def _fill_spaces(
+        self,
+        groups: List[List[tuple]],
+        folded: Sequence[int],
+        slots: Sequence[Tuple[int, int]],
+        w: int,
+    ) -> None:
+        """:meth:`_fill_groups` for a window dividing the step: digit ``i``
+        goes to ``slots[i]``, its stored shift and the bucket offset of its
+        space."""
+        nw, neg, shifted = _num_windows(w), self.ops.neg, self.shifted
+        for j, sc in enumerate(folded):
+            row = shifted[j]
+            if sc == 0 or row is None:
+                continue
+            for (t, off), d in zip(slots, signed_digits(sc, w, nw)):
+                if d > 0:
+                    groups[off + d].append(row[t])
+                elif d:
+                    groups[off - d].append(neg(row[t]))
+
+    def _buckets(
+        self, folded_rows: List[List[int]], w: int
+    ) -> Tuple[List[AffinePoint], int]:
+        """Every row's reduced buckets at window ``w``, and the number of
+        bucket spaces per row: space ``sp`` of row ``r`` is the
+        ``2^(w-1)`` buckets from ``(r * spaces + sp) * 2^(w-1)``."""
+        half = 1 << (w - 1)
+        spaces = _spaces(self.step, w)
+        width = spaces * half
+        groups: List[List[tuple]] = [[] for _ in range(len(folded_rows) * width)]
+        if spaces == 1:
+            shifts = self._shifts(w, max(map(len, folded_rows), default=0))
+            for r, row in enumerate(folded_rows):
+                self._fill_groups(groups, row, r * half, w, shifts)
+        else:
+            for r, row in enumerate(folded_rows):
+                # Offsets are one below the bucket of digit 1.
+                slots = [
+                    (i // spaces, r * width + (i % spaces) * half - 1)
+                    for i in range(_num_windows(w))
+                ]
+                self._fill_spaces(groups, row, slots, w)
+        return batch_affine_reduce(groups), spaces
+
     def msm(self, scalars: Sequence[int]) -> AffinePoint:
         """``sum_j scalars[j] * P_j`` (scalars may be a prefix)."""
         folded = self._fold([scalars])
         w = self._window_for(folded, _AGG_WEIGHT_ONE)
         half = 1 << (w - 1)
+        buckets, spaces = self._buckets(folded, w)
         ops = self.ops
-        groups: List[List[tuple]] = [[] for _ in range(half)]
-        shifts = self._shifts(w, len(scalars))
-        self._fill_groups(groups, folded[0], 0, w, shifts)
-        buckets = batch_affine_reduce(groups)
-        infinity, add, add_affine = (
-            ops.jac_infinity, ops.jac_add, ops.jac_add_affine
+        infinity, double, add, add_affine = (
+            ops.jac_infinity, ops.jac_double, ops.jac_add, ops.jac_add_affine
         )
-        running = infinity
         total = infinity
-        for d in range(half - 1, -1, -1):
-            b = buckets[d]
-            if b is not None:
-                running = add_affine(running, b)
-            if running != infinity:
-                total = add(total, running)
+        for sp in range(spaces - 1, -1, -1):
+            if total != infinity:
+                for _ in range(w):
+                    total = double(total)
+            running = infinity
+            for b in reversed(buckets[sp * half:(sp + 1) * half]):
+                if b is not None:
+                    running = add_affine(running, b)
+                if running != infinity:
+                    total = add(total, running)
         return ops.encode(ops.to_affine(total))
 
     def msm_many(
         self, scalar_rows: Sequence[Sequence[int]]
     ) -> List[AffinePoint]:
-        """Many MSMs over the same bases — every row's buckets reduce in one
-        batch-affine call and aggregate in one lockstep sweep, so the
-        inversion cost is shared across the whole matrix (this is the Hyrax
-        row-commitment hot path).  One window serves the whole matrix."""
+        """Many MSMs over the same bases — every row's buckets (each of its
+        bucket spaces) reduce in one batch-affine call and aggregate in one
+        lockstep sweep, so the inversion cost is shared across the whole
+        matrix (this is the Hyrax row-commitment hot path).  One window
+        serves the whole matrix."""
         folded = self._fold(scalar_rows)
         w = self._window_for(folded, _AGG_WEIGHT_MANY)
         half = 1 << (w - 1)
-        groups: List[List[tuple]] = [[] for _ in range(len(folded) * half)]
-        shifts = self._shifts(w, max(map(len, folded), default=0))
-        for r, row in enumerate(folded):
-            self._fill_groups(groups, row, r * half, w, shifts)
-        buckets = batch_affine_reduce(groups)
+        buckets, spaces = self._buckets(folded, w)
         sums = batch_affine_weighted_bucket_sums(
-            [buckets[r * half:(r + 1) * half] for r in range(len(folded))]
+            [buckets[i * half:(i + 1) * half]
+             for i in range(len(folded) * spaces)]
         )
-        return [self.ops.encode(pt) for pt in sums]
+        ops = self.ops
+        if spaces == 1:
+            return [ops.encode(pt) for pt in sums]
+        double, add_affine = ops.jac_double, ops.jac_add_affine
+        totals = []
+        for r in range(len(folded)):
+            total = ops.jac_infinity
+            for pt in reversed(sums[r * spaces:(r + 1) * spaces]):
+                if total != ops.jac_infinity:
+                    for _ in range(w):
+                        total = double(total)
+                if pt is not None:
+                    total = add_affine(total, pt)
+            totals.append(total)
+        return [ops.encode(pt) for pt in ops.normalize_batch(totals)]
 
 
 class _CacheEntry:
     """One label's base vector, its promotion count and, once promoted,
-    its table: a :class:`FixedBaseMSM`, or for a ``dense`` entry (one
-    point) a :class:`FixedBaseTable`."""
+    its :class:`FixedBaseMSM`."""
 
-    __slots__ = ("points", "dense", "table", "hits")
+    __slots__ = ("points", "table", "hits")
 
-    def __init__(self, points: Sequence[AffinePoint], dense: bool):
+    def __init__(self, points: Sequence[AffinePoint]):
         self.points = points
-        self.dense = dense
-        self.table: Optional[Union[FixedBaseMSM, FixedBaseTable]] = None
+        self.table: Optional[FixedBaseMSM] = None
         self.hits = 0
 
     def cost(self) -> int:
-        return table_cost(self.points, self.dense)
+        """Table memory in units of one G1 base's table, the unit of the
+        cache's budget: every table here stores the same shifts per base,
+        and a G2 point holds twice the ints of a G1 one."""
+        coords = _group_of_any(self.points).coords
+        return -(-len(self.points) * coords // G1_OPS.coords)
 
     def build(self) -> None:
-        if self.dense:
-            self.table = FixedBaseTable(self.points[0])
-        else:
-            self.table = FixedBaseMSM(self.points)
+        self.table = FixedBaseMSM(self.points)
         _evict_oversized_tables(keep=self)
 
 
-# LRU keyed by caller label; sized for ~6 proving keys (9 labels each:
-# five query MSMs and four blinding points) resident at once so rotating
-# among a few keys never churns out a half-promoted entry or a built
-# table.  A second, size-based bound caps the total table footprint of
-# *promoted* entries, in units of one G1 base's table (see
-# :func:`table_cost`): each promoted G1 base pins ~33 affine tuples of
-# window table, a G2 base two to three times the ints, a dense table 25
-# (G1) or 50 (G2) units, so without it a few huge proving keys could pin
-# gigabytes for the life of the process.
+# LRU keyed by caller label; sized for ~6 proving keys (5 labels each, one
+# per Groth16 query MSM) resident at once so rotating among a few keys
+# never churns out a half-promoted entry or a built table.  A second,
+# size-based bound caps the total table footprint of *promoted* entries,
+# in units of one G1 base's table (see :meth:`_CacheEntry.cost`): each
+# promoted G1 base pins 33 affine tuples of window table, a G2 base twice
+# the ints, so without it a few huge proving keys could pin gigabytes for
+# the life of the process.
 _FIXED_BASE_CACHE: Dict[object, _CacheEntry] = {}
-_CACHE_LIMIT = 54
+_CACHE_LIMIT = 30
 _CACHE_TABLE_POINT_LIMIT = 1 << 14
 
 
 def _cache_entry_for(
-    label: object, points: Sequence[AffinePoint], dense: bool = False
+    label: object, points: Sequence[AffinePoint]
 ) -> _CacheEntry:
     """Find-or-create the cache entry for ``label``, enforcing the
     points-identity/content reset, back-of-dict LRU reinsertion, and size
     bound — the one place those invariants live."""
     entry = _FIXED_BASE_CACHE.pop(label, None)
-    if entry is not None and entry.dense != dense:
-        entry = None
     if entry is not None and entry.points is not points:
         # Identity miss: fall back to a content check so a rehydrated copy
         # of the same base vector (a proving key reloaded from disk under
@@ -398,7 +443,7 @@ def _cache_entry_for(
         else:
             entry = None
     if entry is None:
-        entry = _CacheEntry(points, dense)
+        entry = _CacheEntry(points)
     # Re-insert at the back: LRU order, so hot labels survive eviction.
     _FIXED_BASE_CACHE[label] = entry
     while len(_FIXED_BASE_CACHE) > _CACHE_LIMIT:
@@ -421,6 +466,10 @@ def fixed_base_msm(
     one-time content comparison (after which the entry rebinds to the new
     list) — so a content-equal rehydrated vector keeps its tables, while a
     label rebound to a genuinely different vector resets its entry.
+
+    A caller that knows it will reuse a vector (a pool worker about to
+    prove a chunk under one key) builds the tables up front with
+    ``build_after=1`` and no scalars.
     """
     if len(scalars) > len(points):
         raise ValueError("more scalars than bases")
@@ -433,41 +482,6 @@ def fixed_base_msm(
     if len(scalars) < len(points):
         return _generic_msm(list(points[: len(scalars)]), scalars)
     return _generic_msm(points, scalars)
-
-
-def fixed_base_table(
-    label: object, point: AffinePoint
-) -> Optional[FixedBaseTable]:
-    """The dense table for one point reused under ``label``, or ``None``
-    until the cache promotes it.
-
-    Same entry rules as :func:`fixed_base_msm` (content check, LRU, table
-    budget): the second sighting of ``point`` under ``label`` builds the
-    table.  On ``None`` the caller multiplies generically, so a one-shot
-    caller never pays the precompute.
-    """
-    entry = _cache_entry_for(label, (point,), dense=True)
-    entry.hits += 1
-    if entry.table is None and entry.hits >= 2:
-        entry.build()
-    return entry.table
-
-
-def prewarm_fixed_base(
-    label: object, points: Sequence[AffinePoint], dense: bool = False
-) -> None:
-    """Eagerly build the window tables for a base vector (with ``dense``,
-    the :class:`FixedBaseTable` of the single point in ``points``).
-
-    Promote-on-reuse makes the first two MSMs under a label pay generic
-    Pippenger prices — right for one-shot callers, wrong for a pool
-    worker that *knows* it is about to prove a whole chunk against one
-    proving key.  Such callers warm the cache up front so every proof in
-    the chunk, including the first, runs at table speed.
-    """
-    entry = _cache_entry_for(label, points, dense)
-    if entry.table is None:
-        entry.build()
 
 
 def _evict_oversized_tables(keep: _CacheEntry) -> None:

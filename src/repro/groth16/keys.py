@@ -58,10 +58,12 @@ class ProvingKey:
         every query point would cost more than a small MSM, so the digest
         covers the shape counts, the per-key random CRS elements
         (``alpha``/``beta``/``delta``, unique per trusted setup), and the
-        first/last two points of each G1 query; the fixed-base cache
-        additionally content-checks every base vector and blinding point
-        it holds a table for (``delta2`` included), so a
-        fingerprint collision can never produce a wrong proof.
+        first/last two points of each G1 query.  The fixed-base cache
+        additionally content-checks every base vector it holds a table
+        for, and the blinding points (``alpha1``, ``beta1``, ``delta1``,
+        ``beta2``, ``delta2``) are bases of those vectors
+        (:meth:`blinded_queries`), so a fingerprint collision can never
+        produce a wrong proof.
         """
         fp = getattr(self, "_fingerprint", None)
         if fp is None:
@@ -85,6 +87,25 @@ class ProvingKey:
             fp = h.digest()[:16]
             self._fingerprint = fp
         return fp
+
+    def blinded_queries(self) -> Tuple[list, list, list]:
+        """The A, B (G2) and B (G1) queries with the points their blinding
+        terms multiply appended: ``[A | alpha1 | delta1]``,
+        ``[B2 | beta2 | delta2]`` and ``[B1 | beta1]``.  The prover runs
+        its MSMs over these, taking the ``1 | r``, ``1 | s`` and ``1``
+        scalars after the wires.  Built once per key, like
+        :meth:`fingerprint`, so the fixed-base cache sees the same lists
+        on every proof.
+        """
+        queries = getattr(self, "_blinded_queries", None)
+        if queries is None:
+            queries = (
+                [*self.a_query, self.alpha_g1, self.delta_g1],
+                [*self.b_g2_query, self.beta_g2, self.delta_g2],
+                [*self.b_g1_query, self.beta_g1],
+            )
+            self._blinded_queries = queries
+        return queries
 
 
 @dataclass

@@ -10,17 +10,22 @@ Cost profile (what the zkVC paper optimises):
 CRPC shrinks the domain from ``a*b*n`` to ``n``; PSQ empties the A side of
 everything except the actual matrix entries.
 
-The zero-knowledge blinding by the random ``r`` and ``s`` costs scalar
-multiplications on top of the MSMs.  Expanded, ``pi_C = K + H + s*alpha1
-+ r*beta1 + rs*delta1 + (s*A_acc + r*B1_acc)``, so every blinding term
-but the last pair multiplies a point fixed per proving key (``r*delta1``
-and ``s*delta2`` in ``pi_A``/``pi_B`` too).  Those five products are
-lookups on dense per-key tables (:func:`~repro.curve.fixed_base.fixed_base_table`,
-promoted on the key's second proof like the query tables; the first
-proof runs ``multiply``), and the pair is one 2-point Straus MSM with
-shared doublings.  This is the same point as the textbook ``pi_C = K + H
-+ s*pi_A + r*pi_B1 - rs*delta1`` (``pi_B1`` a G1 copy of ``pi_B``), so
-the proof bytes are those of that form.
+The zero-knowledge blinding by the random ``r`` and ``s`` adds the
+points ``alpha1``, ``beta1``, ``delta1`` (G1) and ``beta2``, ``delta2``
+(G2), fixed per proving key.  They are extra bases of the query vectors
+(:meth:`~repro.groth16.keys.ProvingKey.blinded_queries`), so the blinding
+rides the fixed-base MSMs::
+
+    pi_A  = MSM([A  | alpha1 | delta1], [z | 1 | r])
+    pi_B  = MSM([B2 | beta2  | delta2], [z | 1 | s])
+    pi_B1 = MSM([B1 | beta1],           [z | 1])
+    pi_C  = K + H + msm([pi_A, pi_B1], [s, r])
+
+the last a 2-point Straus MSM with shared doublings.  Expanded, ``pi_C``
+is ``K + H + s*alpha1 + r*beta1 + rs*delta1 + s*A_acc + r*B1_acc``, the
+same point as the textbook ``K + H + s*pi_A + r*(pi_B1 + s*delta1) -
+rs*delta1``, so the proof bytes are those of that form.  No blinding term
+needs a scalar multiplication of its own.
 
 The quotient runs on a *same-size* coset: ``deg h <= N - 2``, so ``N``
 evaluations anywhere off the domain determine it, and on the coset
@@ -36,10 +41,13 @@ compute the *same polynomial*, so proof bytes are identical.
 from __future__ import annotations
 
 import secrets
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..curve.bn254 import CURVE_ORDER, AffinePoint, add, multiply
-from ..curve.fixed_base import fixed_base_msm, fixed_base_table
+# ``multiply`` is unused here but stays importable: the e2e benchmark's
+# tracer (benchmarks/e2e/trace.py) patches it to count generic
+# multiplications in a proof, which must be zero.
+from ..curve.bn254 import CURVE_ORDER, add, multiply  # noqa: F401
+from ..curve.fixed_base import fixed_base_msm
 from ..curve.msm import msm
 from ..field import vector as _vector
 from ..field.ntt import (
@@ -58,14 +66,10 @@ R = CURVE_ORDER
 # Coset generator for the quotient computation; any non-domain element works.
 COSET_GENERATOR = 7
 
-#: Cache label of every per-key point the blinding terms multiply, by
-#: ``ProvingKey`` attribute; ``Groth16Backend.warm`` builds the same tables.
-BLINDING_LABELS = {
-    "delta_g1": "groth16-delta1",
-    "alpha_g1": "groth16-alpha1",
-    "beta_g1": "groth16-beta1",
-    "delta_g2": "groth16-delta2",
-}
+#: Fixed-base cache label of each query MSM, the first half of the label
+#: ``(name, pk.fingerprint())``; ``Groth16Backend.warm`` builds the same
+#: five tables (:func:`query_bases`).
+QUERY_LABELS = ("groth16-a", "groth16-b2", "groth16-b1", "groth16-k", "groth16-h")
 
 
 class _QuotientContext:
@@ -209,16 +213,13 @@ def _compute_h_reference(
     return h_coeffs[: domain_size - 1]
 
 
-def _blinding_muls(
-    pk: ProvingKey, fp: bytes, attr: str, scalars: Sequence[int]
-) -> List[AffinePoint]:
-    """``k * pk.<attr>`` for each ``k``: lookups on the point's per-key
-    table once the cache has promoted it, generic ``multiply`` before."""
-    point = getattr(pk, attr)
-    table = fixed_base_table((BLINDING_LABELS[attr], fp), point)
-    if table is None:
-        return [multiply(point, k) for k in scalars]
-    return [table.mul(k) for k in scalars]
+def query_bases(pk: ProvingKey) -> List[Tuple[tuple, list]]:
+    """``(cache label, bases)`` of the prover's five fixed-base MSMs, in
+    :data:`QUERY_LABELS` order: the blinded A, B (G2) and B (G1) queries,
+    then K and H."""
+    fp = pk.fingerprint()
+    vectors = (*pk.blinded_queries(), pk.k_query, pk.h_query)
+    return [((name, fp), bases) for name, bases in zip(QUERY_LABELS, vectors)]
 
 
 def prove(
@@ -232,45 +233,36 @@ def prove(
         rng = lambda: secrets.randbits(256)  # noqa: E731
     if len(assignment) != instance.num_wires:
         raise ValueError("assignment length mismatch")
+    if len(assignment) != len(pk.a_query):
+        # The blinding scalars follow the wires: a shorter assignment
+        # would put them on wire bases.
+        raise ValueError("assignment does not match the proving key")
 
     r = rng() % R
     s = rng() % R
 
-    # The query bases and the blinding points are fixed per proving key
-    # and reused across proofs, so the five query MSMs (four in G1, one in
-    # G2) and the four blinding points go through the fixed-base cache:
-    # the second proof under the same key builds tables and every later
-    # proof runs them with no doublings at all.  Labels carry the key's
-    # content fingerprint, so a rehydrated copy of the same key (a pool
-    # worker reloading it from the KeyStore) lands on the same cache slot
-    # and keeps the warm tables; the cache's own content check on the
-    # points resets any entry whose bases genuinely differ.
-    fp = pk.fingerprint()
-    r_delta1, rs_delta1 = _blinding_muls(pk, fp, "delta_g1", (r, r * s % R))
-    (s_alpha1,) = _blinding_muls(pk, fp, "alpha_g1", (s,))
-    (r_beta1,) = _blinding_muls(pk, fp, "beta_g1", (r,))
-    (s_delta2,) = _blinding_muls(pk, fp, "delta_g2", (s,))
+    # The query bases are fixed per proving key and reused across proofs,
+    # so the five query MSMs (four in G1, one in G2) go through the
+    # fixed-base cache: the second proof under the same key builds tables
+    # and every later proof runs them with no doublings at all.  Labels
+    # carry the key's content fingerprint, so a rehydrated copy of the
+    # same key (a pool worker reloading it from the KeyStore) lands on the
+    # same cache slot and keeps the warm tables; the cache's own content
+    # check on the points resets any entry whose bases genuinely differ.
+    a_side, b2_side, b1_side, k_side, h_side = query_bases(pk)
+    wires = list(assignment)
 
     # pi_A = alpha + sum c_i u_i(tau) + r*delta
-    a_acc = fixed_base_msm(("groth16-a", fp), pk.a_query, assignment)
-    pi_a = add(add(pk.alpha_g1, a_acc), r_delta1)
-
+    pi_a = fixed_base_msm(*a_side, wires + [1, r])
     # pi_B (G2) = beta + sum c_i v_i(tau) + s*delta
-    b_acc_g2 = fixed_base_msm(("groth16-b2", fp), pk.b_g2_query, assignment)
-    pi_b = add(add(pk.beta_g2, b_acc_g2), s_delta2)
-    b_acc_g1 = fixed_base_msm(("groth16-b1", fp), pk.b_g1_query, assignment)
+    pi_b = fixed_base_msm(*b2_side, wires + [1, s])
+    # pi_B1 = beta + sum c_i v_i(tau), pi_B in G1 without its s*delta.
+    pi_b1 = fixed_base_msm(*b1_side, wires + [1])
 
-    # pi_C = K + H + s*alpha + r*beta + rs*delta + (s*A_acc + r*B1_acc),
-    # which equals K + H + s*pi_A + r*pi_B1 - rs*delta with
-    # pi_B1 = beta1 + B1_acc + s*delta1.
-    witness = list(assignment[pk.num_public:])
-    k_acc = fixed_base_msm(("groth16-k", fp), pk.k_query, witness)
-
+    k_acc = fixed_base_msm(*k_side, wires[pk.num_public:])
     h_coeffs = _compute_h(instance, assignment, pk.domain_size)
-    h_acc = fixed_base_msm(("groth16-h", fp), pk.h_query, h_coeffs)
+    h_acc = fixed_base_msm(*h_side, h_coeffs)
 
-    pi_c = add(k_acc, h_acc)
-    for term in (s_alpha1, r_beta1, rs_delta1, msm([a_acc, b_acc_g1], [s, r])):
-        pi_c = add(pi_c, term)
-
+    # pi_C = K + H + s*pi_A + r*pi_B1 (module docstring).
+    pi_c = add(add(k_acc, h_acc), msm([pi_a, pi_b1], [s, r]))
     return Proof(a=pi_a, b=pi_b, c=pi_c)

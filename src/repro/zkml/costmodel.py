@@ -48,9 +48,6 @@ class PrimitiveRates:
     g1_fixed_msm_per_point_s: float = 0.0
     # The same for G2: the Groth16 prover's pi_B MSM over the B query.
     g2_fixed_msm_per_point_s: float = 0.0
-    # One lookup on a dense per-point G2 table: the Groth16 prover's
-    # s*delta2 once the key's blinding tables are built.
-    g2_table_mul_s: float = 0.0
 
 
 def _best_of(fn, repeats: int = 3, timer=time.perf_counter) -> float:
@@ -94,13 +91,6 @@ def measure_rates() -> PrimitiveRates:
     g2_mul = _best_of(g2_muls) / 4
 
     g2_table = FixedBaseTable(g2)
-
-    def g2_table_muls():
-        for i in range(4):
-            g2_table.mul(sc + i)
-
-    g2_table_mul = _best_of(g2_table_muls) / 4
-
     g2_pts = [g2_table.mul(i + 2) for i in range(64)]
     g2_fb = FixedBaseMSM(g2_pts)
     g2_fixed_msm = _best_of(lambda: g2_fb.msm(scs)) / 64
@@ -127,7 +117,6 @@ def measure_rates() -> PrimitiveRates:
         pairing_s=pairing_s,
         g1_fixed_msm_per_point_s=g1_fixed_msm,
         g2_fixed_msm_per_point_s=g2_fixed_msm,
-        g2_table_mul_s=g2_table_mul,
     )
 
 
@@ -146,25 +135,25 @@ class CostModel:
     def groth16_prove_time(self, cost: CircuitCost) -> float:
         r = self.rates
         domain = max(2, next_power_of_two(cost.constraints))
+        # The blinding points are extra bases of the A, B1 (alpha1,
+        # delta1; beta1) and G2 B (beta2, delta2) queries.
         msm_points = (
-            cost.a_wires          # A query
-            + cost.b_wires        # B query (G1 copy)
+            cost.a_wires + 2      # A query
+            + cost.b_wires + 1    # B query (G1 copy)
             + cost.wires          # K query (witness)
             + domain              # H query
         )
-        g2_points = cost.b_wires
+        g2_points = cost.b_wires + 2
         ntt_elems = 9 * 2 * domain  # 3 intt + 3 coset-ntt + back, x2 size
         matvec = cost.terms
-        # The prover's queries (G1 and the G2 B query) and the points its
-        # blinding terms multiply are fixed per proving key and served from
-        # cached tables (see groth16/prove.py).  Of the blinding terms only
-        # pi_B's s*delta2 is charged: one dense G2 table lookup.
+        # The prover's queries (G1 and the G2 B query) are fixed per
+        # proving key and served from cached tables (see
+        # groth16/prove.py).
         msm_rate = r.g1_fixed_msm_per_point_s or r.g1_msm_per_point_s
         g2_rate = r.g2_fixed_msm_per_point_s or r.g2_mul_s
         t = (
             msm_points * msm_rate
             + g2_points * g2_rate
-            + (r.g2_table_mul_s or r.g2_mul_s)
             + ntt_elems * r.ntt_per_elem_s * max(1, math.log2(domain) / 12)
             + matvec * r.field_mul_s * 2
         )

@@ -37,9 +37,9 @@ from repro.curve.fixed_base import (
     _FIXED_BASE_CACHE,
     FixedBaseMSM,
     FixedBaseTable,
+    _CacheEntry,
     clear_fixed_base_cache,
     fixed_base_msm,
-    table_cost,
 )
 from repro.curve.msm import msm
 from repro.field.extension import Fq2
@@ -195,9 +195,11 @@ class TestG2Msm:
 
     def test_table_cost_charges_g2_at_its_size(self):
         g1_pts = [(1, 2)] * 10
-        assert table_cost(g1_pts) == 10
-        # A G2 base holds twice the ints per point over a few more windows.
-        assert 2 * 30 <= table_cost(_POOL * 5) <= 3 * 30
+        assert _CacheEntry(g1_pts).cost() == 10
+        # A G2 base holds twice the ints per point over as many shifts.
+        assert _CacheEntry(_POOL * 5).cost() == 2 * 30
+        g1_table, g2_table = FixedBaseMSM(g1_pts[:1]), FixedBaseMSM(_POOL[:1])
+        assert len(g2_table.shifted[0]) == len(g1_table.shifted[0])
 
 
 def _det_rng(seed):
@@ -280,6 +282,8 @@ class TestPrewarm:
             pk = artifacts.keypair.pk
             entry = _FIXED_BASE_CACHE[("groth16-b2", pk.fingerprint())]
             assert entry.table is not None
-            assert entry.points is pk.b_g2_query
+            # The query with beta2 and delta2 appended, memoised per key.
+            assert entry.points is pk.blinded_queries()[1]
+            assert entry.points[:-2] == pk.b_g2_query
         finally:
             clear_fixed_base_cache()

@@ -250,8 +250,10 @@ class TestProvingKeyFingerprint:
             pf = prove(kp2.pk, instance, assignment)
             after = _FIXED_BASE_CACHE[label]
             assert after is entry and after.table is table
-            # Rebound to the rehydrated list: identity fast path from now on.
-            assert after.points is kp2.pk.a_query
+            # Rebound to the rehydrated key's memoised A-side list (the A
+            # query with alpha1 and delta1 appended): identity fast path
+            # from now on.
+            assert after.points is kp2.pk.blinded_queries()[0]
             assert verify(keypair.vk, circuit.public_inputs(), pf)
         finally:
             clear_fixed_base_cache()

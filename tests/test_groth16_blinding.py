@@ -1,18 +1,23 @@
-"""Groth16 blinding terms on per-key tables, and the Straus small MSM.
+"""Groth16 blinding points as appended query bases, and the Straus
+small MSM.
 
 * ``msm`` over 1..15 live points (the Straus path) equals the per-point
   ``multiply`` sum in G1 and G2, with ``None`` points, zero scalars,
   folded negatives, ``r - 1``, duplicated points and ``P`` with ``-P``;
-* a dense :class:`FixedBaseTable` equals ``multiply`` at every window,
-  and the cache charges it its real size;
-* a first-sighting (generic) proof, promoted-table proofs and a warmed
-  proof are byte-identical, and equal the old ``pi_C`` formula;
-* after ``Groth16Backend.warm``, and from a key's second proof on, the
-  prover makes no generic ``multiply`` call;
+* a dense :class:`FixedBaseTable` (the trusted setup's generator tables)
+  equals ``multiply`` at every window, and the cache charges a query
+  table its real size;
+* a key's first proof (generic MSMs), its second (table build) and a
+  proof after ``Groth16Backend.warm`` match sha256 digests pinned from
+  the prover that multiplied the blinding points on tables of their own,
+  and ``pi_C`` equals the textbook formula;
+* no proof makes a generic ``multiply`` call, and ``warm`` builds exactly
+  the five query tables a proof uses;
 * two keys whose fingerprints collide still prove correctly, and six
   keys rotating keep every table resident.
 """
 
+import hashlib
 import importlib
 import random
 
@@ -30,15 +35,15 @@ from repro.curve.bn254 import (
 )
 from repro.curve.fixed_base import (
     _FIXED_BASE_CACHE,
+    FixedBaseMSM,
     FixedBaseTable,
+    _CacheEntry,
     clear_fixed_base_cache,
-    fixed_base_table,
-    table_cost,
 )
 from repro.curve.msm import msm
 from repro.gadgets.matmul import MatmulCircuit
 from repro.groth16 import prove, verify
-from repro.groth16.prove import BLINDING_LABELS
+from repro.groth16.prove import QUERY_LABELS
 
 # The package attributes ``repro.groth16.prove`` and ``repro.curve.msm``
 # are functions; these are the modules.
@@ -53,8 +58,7 @@ POOLS = {
 }
 _S = _rng.randrange(R)
 
-QUERY_LABELS = ("groth16-a", "groth16-b2", "groth16-b1", "groth16-k", "groth16-h")
-LABELS_PER_KEY = len(QUERY_LABELS) + len(BLINDING_LABELS)
+LABELS_PER_KEY = len(QUERY_LABELS)
 
 
 def _naive(points, scalars):
@@ -121,39 +125,28 @@ class TestDenseTable:
                 multiply(pt, k) for k in scalars
             ]
 
-    def test_cost_is_real_size(self, group):
-        pt = POOLS[group][0]
-        tab = FixedBaseTable(pt)
-        ints = sum(len(row) for row in tab.tables) * len(tab.tables[0][0])
-        unit = table_cost([g1_generator()])  # one G1 base of FixedBaseMSM
-        assert unit == 1
-        assert table_cost([pt], dense=True) == -(-ints // 66)
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_cache_cost_is_real_size(group):
+    """The cache charges a query table its stored ints, in units of one
+    G1 base's table."""
+    pts = POOLS[group][:3]
+    table = FixedBaseMSM(pts)
+    ints = sum(len(row) * len(row[0]) for row in table.shifted)
+    unit = len(FixedBaseMSM(POOLS["g1"][:1]).shifted[0]) * 2
+    assert _CacheEntry(pts).cost() == ints // unit
 
 
-def test_eviction_budget_charges_dense_tables(monkeypatch):
-    """Three dense G1 tables (25 units each) do not fit a 60-unit budget:
-    the least recently used one goes."""
-    monkeypatch.setattr(fixed_base, "_CACHE_TABLE_POINT_LIMIT", 60)
+def test_eviction_budget_charges_g2_tables_at_their_size(monkeypatch):
+    """Three two-point G2 tables (4 units each) do not fit a 10-unit
+    budget: the least recently built one goes."""
+    monkeypatch.setattr(fixed_base, "_CACHE_TABLE_POINT_LIMIT", 10)
     clear_fixed_base_cache()
     try:
-        for i, pt in enumerate(POOLS["g1"][:3]):
-            fixed_base.prewarm_fixed_base(("dense", i), (pt,), dense=True)
-        assert sorted(_FIXED_BASE_CACHE) == [("dense", 1), ("dense", 2)]
-    finally:
-        clear_fixed_base_cache()
-
-
-def test_dense_and_msm_entries_never_share_a_table():
-    """A label first used for a one-point MSM and then for a dense table
-    (or back) resets instead of handing out the wrong table type."""
-    pt = POOLS["g1"][0]
-    clear_fixed_base_cache()
-    try:
-        for _ in range(2):
-            fixed_base.fixed_base_msm("shared", [pt], [3])
-        assert fixed_base_table("shared", pt) is None  # reset: first sighting
-        assert isinstance(fixed_base_table("shared", pt), FixedBaseTable)
-        assert fixed_base.fixed_base_msm("shared", [pt], [3]) == multiply(pt, 3)
+        for i in range(3):
+            pts = POOLS["g2"][2 * i:2 * i + 2]
+            fixed_base.fixed_base_msm(("g2", i), pts, (), build_after=1)
+        assert sorted(_FIXED_BASE_CACHE) == [("g2", 1), ("g2", 2)]
     finally:
         clear_fixed_base_cache()
 
@@ -166,8 +159,8 @@ def _det_rng(seed):
     return lambda: r.getrandbits(256)
 
 
-def _artifacts(seed, shape=(2, 3, 2)):
-    circuit = MatmulCircuit(*shape, "crpc_psq")
+def _artifacts(seed, shape=(2, 3, 2), strategy="crpc_psq"):
+    circuit = MatmulCircuit(*shape, strategy)
     rng = random.Random(99)
     a, n, b = shape
     circuit.assign(
@@ -175,6 +168,15 @@ def _artifacts(seed, shape=(2, 3, 2)):
         [[rng.randint(-128, 127) for _ in range(b)] for _ in range(n)],
     )
     return circuit, Groth16Backend().setup(circuit, rng=_det_rng(seed))
+
+
+# sha256 of seeded proofs (setup seed 7, prover seed 11, shape 2x3x2),
+# taken from the prover that multiplied the blinding points on dense
+# per-key tables of their own.
+PINNED_PROOFS = {
+    "crpc_psq": "42c4b0677e68d4c6bdb0e221b77d4cca08fa7990cd8d12fc3c2f6be105d32c1b",
+    "vanilla": "53e3114cb3781845848298ba95b5e11a5f2dce9817cdc01799fab05a7ed2e6be",
+}
 
 
 @pytest.fixture(scope="module")
@@ -209,20 +211,16 @@ def _prove(circuit, artifacts, seed=11):
     )
 
 
-def _old_pi_c(pk, instance, assignment, seed):
-    """``pi_C`` the way it was computed before the regrouping."""
+def _textbook_pi_c(pk, instance, assignment, seed):
+    """``pi_C = K + H + s*pi_A + r*pi_B1 - rs*delta1`` from generic MSMs
+    and multiplies, with ``pi_B1 = beta1 + B1_acc + s*delta1``."""
     draw = _det_rng(seed)
     r, s = draw() % R, draw() % R
-    fp = pk.fingerprint()
-    a_acc = fixed_base.fixed_base_msm(("groth16-a", fp), pk.a_query, assignment)
-    b1_acc = fixed_base.fixed_base_msm(
-        ("groth16-b1", fp), pk.b_g1_query, assignment
-    )
-    k_acc = fixed_base.fixed_base_msm(
-        ("groth16-k", fp), pk.k_query, list(assignment[pk.num_public:])
-    )
+    a_acc = msm(pk.a_query, assignment)
+    b1_acc = msm(pk.b_g1_query, assignment)
+    k_acc = msm(pk.k_query, list(assignment[pk.num_public:]))
     h = prove_mod._compute_h(instance, assignment, pk.domain_size)
-    h_acc = fixed_base.fixed_base_msm(("groth16-h", fp), pk.h_query, h)
+    h_acc = msm(pk.h_query, h)
     pi_a = add(add(pk.alpha_g1, a_acc), multiply(pk.delta_g1, r))
     pi_b1 = add(add(pk.beta_g1, b1_acc), multiply(pk.delta_g1, s))
     pi_c = add(k_acc, h_acc)
@@ -232,6 +230,23 @@ def _old_pi_c(pk, instance, assignment, seed):
 
 
 class TestBlindingByteIdentity:
+    @pytest.mark.parametrize("strategy", sorted(PINNED_PROOFS))
+    def test_proofs_match_pinned_bytes(self, strategy, fresh_cache):
+        circuit, artifacts = _artifacts(7, strategy=strategy)
+        # First sighting (generic MSMs), then the table build.
+        proofs = [_prove(circuit, artifacts) for _ in range(2)]
+        assert all(e.table is not None for e in _FIXED_BASE_CACHE.values())
+        clear_fixed_base_cache()
+        Groth16Backend().warm(artifacts, circuit)
+        proofs.append(_prove(circuit, artifacts))
+        for pf in proofs:
+            assert hashlib.sha256(pf.to_bytes()).hexdigest() == (
+                PINNED_PROOFS[strategy]
+            )
+        assert verify(
+            artifacts.keypair.vk, circuit.cs.public_inputs(), proofs[0]
+        )
+
     def test_generic_promoted_and_warmed_proofs_agree(self, crpc, fresh_cache):
         circuit, artifacts = crpc
         # First sighting (generic), promotion, promoted tables.
@@ -251,7 +266,14 @@ class TestBlindingByteIdentity:
         assignment = circuit.cs.assignment()
         for seed in (11, 12):
             pf = _prove(circuit, artifacts, seed)
-            assert pf.c == _old_pi_c(pk, artifacts.instance, assignment, seed)
+            assert pf.c == _textbook_pi_c(
+                pk, artifacts.instance, assignment, seed
+            )
+
+
+def _query_labels(pk):
+    fp = pk.fingerprint()
+    return sorted((name, fp) for name in QUERY_LABELS)
 
 
 class TestBlindingTables:
@@ -259,14 +281,19 @@ class TestBlindingTables:
         self, crpc, fresh_cache, multiply_calls
     ):
         circuit, artifacts = crpc
+        pk = artifacts.keypair.pk
         Groth16Backend().warm(artifacts, circuit)
-        fp = artifacts.keypair.pk.fingerprint()
-        for label in BLINDING_LABELS.values():
-            assert isinstance(
-                _FIXED_BASE_CACHE[(label, fp)].table, FixedBaseTable
-            )
+        # Exactly the five query tables, over the lists a proof passes.
+        assert sorted(_FIXED_BASE_CACHE) == _query_labels(pk)
+        assert all(
+            isinstance(e.table, FixedBaseMSM) for e in _FIXED_BASE_CACHE.values()
+        )
+        bases = _FIXED_BASE_CACHE[("groth16-a", pk.fingerprint())].points
+        assert bases is pk.blinded_queries()[0]
+        assert bases[-2:] == [pk.alpha_g1, pk.delta_g1]
         _prove(circuit, artifacts)
         assert multiply_calls == []
+        assert sorted(_FIXED_BASE_CACHE) == _query_labels(pk)
 
     def test_second_proof_runs_on_tables(
         self, crpc, fresh_cache, multiply_calls
@@ -274,14 +301,14 @@ class TestBlindingTables:
         circuit, artifacts = crpc
         pk = artifacts.keypair.pk
         _prove(circuit, artifacts)
-        # r*delta1, rs*delta1, s*alpha1, r*beta1 and s*delta2.
-        assert sorted(map(repr, multiply_calls)) == sorted(map(repr, [
-            pk.delta_g1, pk.delta_g1, pk.alpha_g1, pk.beta_g1, pk.delta_g2,
-        ]))
-        del multiply_calls[:]
+        # The blinding points ride the generic MSMs: no multiply, no table.
+        assert multiply_calls == []
+        assert sorted(_FIXED_BASE_CACHE) == _query_labels(pk)
+        assert all(e.table is None for e in _FIXED_BASE_CACHE.values())
         _prove(circuit, artifacts)
         _prove(circuit, artifacts)
         assert multiply_calls == []
+        assert all(e.table is not None for e in _FIXED_BASE_CACHE.values())
 
     def test_fingerprint_collision_never_gives_a_wrong_proof(self, fresh_cache):
         """Two keys forced onto one fingerprint share every cache label;
@@ -302,6 +329,7 @@ class TestBlindingTables:
             for _ in range(2):  # the second proof promotes every label
                 _prove(circuit, artifacts)
         assert len(_FIXED_BASE_CACHE) == 6 * LABELS_PER_KEY
+        assert len(_FIXED_BASE_CACHE) == fixed_base._CACHE_LIMIT
         tables = {lbl: e.table for lbl, e in _FIXED_BASE_CACHE.items()}
         assert all(t is not None for t in tables.values())
         for _ in range(2):

@@ -16,8 +16,11 @@
   without changing a commitment;
 * a table stored at step 2 gives the naive sum at every window a call may
   run (2, 4, 6, 8), and its chooser picks w=8 for uniform rows and a
-  smaller window for an int8 witness matrix, while a table whose step is
-  its window never evaluates the estimate;
+  smaller window for an int8 witness matrix, while a table with a single
+  candidate window never evaluates the estimate;
+* a table stored at step 8 (the Groth16 query tables, G1 and G2) gives the
+  naive sum at its divisor windows 2 and 4 (several bucket spaces) and
+  at 8, and its chooser skips scalars whose base is absent;
 * ``fixed_base_msm`` rejects too many scalars before touching its cache.
 """
 
@@ -325,13 +328,101 @@ class TestWindowPerCall:
         ]
 
 
+def _step8_cases(pool):
+    """Edge cases on a step-8 table: absent bases, the folding edges, an
+    int8 row with the Groth16 blinding scalars ``1 | r`` appended, an
+    all-zero row and prefixes of the bases."""
+    pts = [pool[i % len(pool)] for i in range(16)]
+    pts[2] = pts[9] = None
+    rng = random.Random(0x58)
+    int8 = [rng.randint(-128, 127) % R for _ in range(14)]
+    return [
+        (pts, EDGES + INT8_NEGATIVES + [5, 127, R - 5, _S, 0, 9]),
+        (pts, int8 + [1, _S]),
+        (pts, [0] * 16),
+        (pts, [R - 1, -128 % R, 7, 0, R // 2 + 1]),          # prefix
+        (pts, [_S] * 3),                                      # prefix, wide
+        (pts[:6], [-v % R for v in (1, 2, 37, 127, 128, 3)]),
+    ]
+
+
+_STEP8 = {}
+
+
+def _step8(group, case):
+    """(table, points, scalars, naive sum) per case, built once."""
+    key = (group, case)
+    if key not in _STEP8:
+        pts, scs = _step8_cases(POOLS[group])[case]
+        table = FixedBaseMSM(pts)
+        assert table.step == 8 and table.windows == (2, 4, 8)
+        _STEP8[key] = table, pts, scs, NAIVE[group](pts[:len(scs)], scs)
+    return _STEP8[key]
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+@pytest.mark.parametrize("case", range(len(_step8_cases(_G1_POOL))))
+class TestStep8Windows:
+    """The Groth16 query tables run w = 2 and 4 on their step-8 shifts
+    (8/w bucket spaces combined with doublings): every window gives the
+    naive sum, through ``msm`` and ``msm_many``."""
+
+    @pytest.mark.parametrize("w", [2, 4, 8])
+    def test_forced_window_matches_naive(self, group, case, w, monkeypatch):
+        chosen = []
+
+        def forced(self, folded, weight):
+            chosen.append(w)
+            return w
+
+        monkeypatch.setattr(FixedBaseMSM, "_window_for", forced)
+        table, pts, scs, want = _step8(group, case)
+        assert table.msm(scs) == want
+        first = NAIVE[group](pts[:1], scs[:1])
+        assert table.msm_many([scs, [0] * len(scs), scs[:1], scs]) == [
+            want, None, first, want
+        ]
+        assert chosen == [w, w]
+
+    def test_chosen_window_matches_naive(self, group, case):
+        table, _, scs, want = _step8(group, case)
+        assert table.msm(scs) == want
+        assert table.msm_many([scs]) == [want]
+
+
+def test_window_costs_skip_absent_bases_and_count_spaces():
+    """On the ``groth16_crpc`` A-side shape (88 bases, 56 absent; 32 int8
+    wires with ``1 | r`` appended on live bases) a scalar whose base is
+    ``None`` costs no insertion, each of a divisor window's ``8 // w``
+    bucket spaces costs its own aggregation, and the chooser picks w=4."""
+    rng = random.Random(0xABC)
+    pts = [_G1_POOL[i % 12] if i % 11 < 4 else None for i in range(88)]
+    live = [rng.randint(-128, 127) for _ in range(30)] + [1, _S]
+    it = iter(live)
+    scalars = [next(it) if pt is not None else rng.randrange(R) for pt in pts]
+    table = FixedBaseMSM(pts)
+    weight = fixed_base._AGG_WEIGHT_ONE
+    folded = table._fold([scalars])
+    insertions = {
+        w: sum((abs(fold_scalar(v)).bit_length() + w) // w for v in live if v)
+        for w in (2, 4, 8)
+    }
+    assert fixed_base._window_costs(
+        table.windows, 8, folded, table.shifted, weight
+    ) == {w: insertions[w] + weight * (8 // w) * (1 << w) for w in (2, 4, 8)}
+    assert table._window_for(folded, weight) == 4
+
+
 def test_candidate_windows():
     pts = _G1_POOL[:2]
     assert FixedBaseMSM(pts, window=2).windows == (2, 4, 6, 8)
     assert FixedBaseMSM(pts, window=3).windows == (3, 6)
-    for step in (5, 8, 10):
-        assert FixedBaseMSM(pts, window=step).windows == (step,)
-    assert FixedBaseMSM(pts).windows == (8,)  # the G1 default
+    assert FixedBaseMSM(pts, window=5).windows == (5,)
+    # Divisors of the step run too, on step // w bucket spaces.
+    assert FixedBaseMSM(pts, window=8).windows == (2, 4, 8)
+    assert FixedBaseMSM(pts, window=10).windows == (2, 5, 10)
+    assert FixedBaseMSM(pts).windows == (2, 4, 8)  # the default step 8
+    assert FixedBaseMSM(_G2_POOL).windows == (2, 4, 8)
 
 
 def _uniform_rows(nrows, ncols):
@@ -396,16 +487,18 @@ class TestWindowChooser:
 
         monkeypatch.setattr(fixed_base, "_window_costs", spy)
         rows = [[3, R - 1, 0, 5], [R // 2, -7 % R, 1, 0]]
-        for table in (FixedBaseMSM(_G1_POOL[:4]),
-                      FixedBaseMSM(_G1_POOL[:4], window=5),
-                      FixedBaseMSM(_G2_POOL)):
+        for table in (FixedBaseMSM(_G1_POOL[:4], window=5),
+                      FixedBaseMSM(_G1_POOL[:4], window=7)):
             table.msm(rows[0])
             table.msm_many(rows)
         assert calls == []
-        stepped = FixedBaseMSM(_G1_POOL[:4], window=2)
-        stepped.msm(rows[0])
-        stepped.msm_many(rows)
-        assert len(calls) == 2
+        # Steps 2 and 8 (the G1 and G2 default) have several windows.
+        for stepped in (FixedBaseMSM(_G1_POOL[:4], window=2),
+                        FixedBaseMSM(_G1_POOL[:4]),
+                        FixedBaseMSM(_G2_POOL)):
+            stepped.msm(rows[0])
+            stepped.msm_many(rows)
+        assert len(calls) == 6
 
 
 class TestFixedBaseMsmRejection:

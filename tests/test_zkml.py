@@ -237,6 +237,23 @@ class TestCostModel:
         assert model.groth16_prove_time(cost) == pytest.approx(1.0)
         assert factor > 0
 
+    def test_blinding_bases_priced_at_fixed_base_rates(self):
+        """The five blinding points are appended query bases: three G1
+        and two G2 points at the fixed-base per-point rates, and no
+        scalar multiplication of their own."""
+        rates = PrimitiveRates(
+            g1_mul_s=100.0, g1_msm_per_point_s=100.0, g2_mul_s=100.0,
+            field_mul_s=0.0, ntt_per_elem_s=0.0, pairing_s=0.0,
+            g1_fixed_msm_per_point_s=1.0, g2_fixed_msm_per_point_s=10.0,
+        )
+        cost = matmul_cost(4, 8, 4, "crpc_psq")
+        domain = max(2, 1 << (cost.constraints - 1).bit_length())
+        g1_points = cost.a_wires + cost.b_wires + cost.wires + domain + 3
+        g2_points = cost.b_wires + 2
+        assert CostModel(rates=rates).groth16_prove_time(cost) == (
+            pytest.approx(g1_points * 1.0 + g2_points * 10.0)
+        )
+
     def test_proof_sizes(self, model):
         assert model.groth16_proof_size() == 256
         assert model.spartan_proof_size(matmul_cost(4, 8, 4, "crpc_psq")) > 256
