@@ -14,10 +14,13 @@ Times the dominant prover kernels on this machine:
   ``prod2`` kernel and the naive reference prover;
 * **Hyrax commit** at 2^10 / 2^12 on uniform 254-bit scalars — the
   batched fixed-base path versus per-row generic MSMs — and at 2048
-  int8-shaped scalars (``"2048-int8"``: half of them negative, the
-  traffic the matmul workloads commit), plus one ``pedersen_commit`` of a
-  blinder and 32 uniform values (``"32-opening"``: the verifier's Hyrax
-  opening check, a single-row MSM); both timed in quick runs too;
+  int8-shaped scalars (``"2048-int8"``: half of them negative, dense),
+  on the real witness of the ``spartan_crpc`` workload's 16x32x16 matmul
+  (``"2048-spartan_crpc"``: 32 int8 rows, one full-width row, 31 rows of
+  padding that carry only their blinder), plus one ``pedersen_commit``
+  of a blinder and 32 uniform values (``"32-opening"``: the verifier's
+  Hyrax opening check, a single-row MSM); all three timed in quick runs
+  too;
 * **NTT** for sizes 2^8..2^14 — the planned (cached-twiddle) transform and
   the batched ``ntt_many`` path versus the naive serial-twiddle loop;
 * **Groth16 quotient** (``_compute_h``) for domain sizes 2^8..2^10 — the
@@ -90,13 +93,16 @@ from repro.groth16.verify import (  # noqa: E402
     clear_prepared_key_cache,
     prepare_verifying_key,
 )
+from repro.gadgets.matmul import MatmulCircuit  # noqa: E402
 from repro.r1cs.system import R1CSInstance  # noqa: E402
 from repro.spartan.commitment import (  # noqa: E402
     HyraxProver,
+    blinder_table,
     pedersen_commit,
     pedersen_generators,
     pedersen_table,
 )
+from repro.spartan.snark import _half  # noqa: E402
 from repro.spartan.sumcheck import (  # noqa: E402
     sumcheck_prove,
     sumcheck_prove_reference,
@@ -114,7 +120,10 @@ SMALL_KERNEL_REPEATS = 20
 FIELD_SIZES = [1 << k for k in range(8, 13)]      # 2^8 .. 2^12
 SUMCHECK_SIZES = [1 << k for k in range(10, 17)]  # 2^10 .. 2^16
 HYRAX_SIZES = [1 << 10, 1 << 12]
-HYRAX_INT8_SIZE = 1 << 11  # the 64x32 commit matrix of a 16x32x16 matmul
+# The matmul whose real witness the ``"2048-spartan_crpc"`` entry commits:
+# the spartan_crpc workload's 16x32x16 CRPC+PSQ circuit, a 64x32 matrix.
+HYRAX_CRPC_SHAPE = (16, 32, 16)
+HYRAX_INT8_SIZE = 1 << 11  # a dense int8 vector the size of that matrix
 HYRAX_OPENING_SIZE = 32  # the opening row t of that matrix
 # A single-row commit takes ~10 ms: time the best of this many per repeat.
 HYRAX_OPENING_REPEATS = 20
@@ -237,16 +246,39 @@ def _int8_vector(rng: random.Random, n: int) -> List[int]:
     ]
 
 
+def _crpc_witness() -> tuple:
+    """``(vector, num_vars)`` of the witness a Spartan proof of the
+    :data:`HYRAX_CRPC_SHAPE` CRPC+PSQ matmul commits, on int8 inputs (half
+    negative): 64 rows of 32, of which 32 int8 rows, one row of
+    full-width packed accumulators and 31 rows of zero padding."""
+    a, n, b = HYRAX_CRPC_SHAPE
+    rng = random.Random(0x5C7C)
+    flat = _int8_vector(rng, a * n + n * b)
+    x = [flat[i * n:(i + 1) * n] for i in range(a)]
+    w = [flat[a * n + k * b:a * n + (k + 1) * b] for k in range(n)]
+    circuit = MatmulCircuit(a, n, b, "crpc_psq")
+    z = circuit.packing_point()
+    circuit.assign(x, w, z)
+    instance = circuit.cs.specialize(z)
+    half = _half(instance.num_public, instance.num_witness)
+    witness = circuit.cs.assignment()[instance.num_public:]
+    return witness, half.bit_length() - 1
+
+
 def bench_hyrax(
     sizes=HYRAX_SIZES, repeats: int = 1
 ) -> Dict[str, Dict[str, float]]:
     rng = random.Random(0xC0FFEE)
 
-    def commit_rate(vec):
-        num_vars = len(vec).bit_length() - 1
+    def commit_rate(vec, num_vars=None):
+        if num_vars is None:
+            num_vars = len(vec).bit_length() - 1
         prover = HyraxProver(vec, num_vars, rng=lambda: rng.randrange(R))
-        pedersen_table(1 << prover.col_vars)  # warm the shared table
-        return prover, len(vec) / _timed(lambda: prover.commit(), repeats)
+        pedersen_table(1 << prover.col_vars)  # warm the shared tables
+        blinder_table()
+        return prover, (1 << num_vars) / _timed(
+            lambda: prover.commit(), repeats
+        )
 
     out: Dict[str, Dict[str, float]] = {}
     for n in sizes:
@@ -260,6 +292,9 @@ def bench_hyrax(
     # Own seed: the same vector whether or not the quick subset ran.
     _, rate = commit_rate(_int8_vector(random.Random(0x1D8), HYRAX_INT8_SIZE))
     out[f"{HYRAX_INT8_SIZE}-int8"] = {"fast_ops_per_sec": rate}
+    vec, num_vars = _crpc_witness()
+    _, rate = commit_rate(vec, num_vars)
+    out[f"{1 << num_vars}-spartan_crpc"] = {"fast_ops_per_sec": rate}
     # The verifier's opening check: one row of uniform values and a blinder.
     opening_rng = random.Random(0x0BE1)
     values = [opening_rng.randrange(R) for _ in range(HYRAX_OPENING_SIZE)]

@@ -62,9 +62,12 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # step-8 query tables (G1 and G2) on the groth16_crpc A-side shape, where
 # each call picks a window dividing the step.
 # The hyrax_commit section's ``"2048-int8"`` entry gates the commit on
-# int8-shaped scalars (half negative), the traffic the matmul provers
-# serve, next to the uniform 254-bit sizes; its ``"32-opening"`` entry
-# gates the verifier's single-row opening commit.  Quick runs time both.
+# dense int8-shaped scalars (half negative), and its
+# ``"2048-spartan_crpc"`` entry on the witness a 16x32x16 Spartan matmul
+# proof really commits (int8 rows, a full-width row, padding rows that
+# carry only their blinder), next to the uniform 254-bit sizes; its
+# ``"32-opening"`` entry gates the verifier's single-row opening commit.
+# Quick runs time all three.
 _GATED_METRICS = (
     "fast_ops_per_sec",
     "fixed_base_ops_per_sec",

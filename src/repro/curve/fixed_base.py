@@ -6,8 +6,11 @@ queries (G1 and G2), which are reused across proofs.  Precomputing shifted
 multiples of each base turns those MSMs into pure table lookups:
 
 * :class:`FixedBaseTable` — a dense signed-digit table for one heavily
-  reused point (the G1 and G2 generators in the trusted setup).  A scalar
-  mul becomes ``~254/w`` mixed additions with **no doublings**.
+  reused point (the G1 and G2 generators in the trusted setup, the Hyrax
+  blinder generator).  A scalar mul becomes ``~254/w`` mixed additions
+  with **no doublings**; :meth:`~FixedBaseTable.lookups` hands out the
+  points to add instead, so a caller can sum them inside a batch-affine
+  reduction of its own (``FixedBaseMSM.msm_many``'s ``extra`` points).
 * :class:`FixedBaseMSM` — per base point, the shifted copies
   ``2^(i*step) * P_j``.  An MSM then scatters signed digits into shared
   bucket spaces (the window shift is baked into the point, so digits from
@@ -127,10 +130,11 @@ class FixedBaseTable:
     """Dense signed-digit table for one reused point.
 
     Window ``i`` stores ``d * 2^(i*w) * P`` for every digit ``d`` in
-    ``1..2^(w-1)``.  ``mul`` folds its scalar into ``(-r/2, r/2]``, recodes
-    it into signed digits and adds one stored point per non-zero digit,
-    negated for a negative one — nothing else.  Storage is
-    ``ceil(254/w) * 2^(w-1)`` affine points: 816 at the default w=5.
+    ``1..2^(w-1)``.  ``lookups`` folds its scalar into ``(-r/2, r/2]``,
+    recodes it into signed digits and returns one stored point per
+    non-zero digit, negated for a negative one; ``mul`` adds them up —
+    nothing else.  Storage is ``ceil(254/w) * 2^(w-1)`` affine points: 816
+    at the default w=5, 4,096 at w=8.
     """
 
     def __init__(self, point: AffinePoint, window: int = _TABLE_WINDOW):
@@ -156,20 +160,31 @@ class FixedBaseTable:
             columns.append(ops.pairwise_add(columns[-1], bases))
         self.tables = [list(row) for row in zip(*columns)]
 
-    def mul(self, scalar: int) -> AffinePoint:
-        """``scalar * P`` via table lookups (matches ``multiply``)."""
+    def lookups(self, scalar: int) -> List[tuple]:
+        """The stored points that sum to ``scalar * P``: one per non-zero
+        signed digit of the folded scalar, negated for a negative digit,
+        as decoded affine tuples of the table's group."""
         scalar = fold_scalar(scalar)
         if scalar == 0 or self.point is None:
+            return []
+        neg = self.ops.neg
+        digits = signed_digits(scalar, self.window, self.num_windows)
+        return [
+            row[d - 1] if d > 0 else neg(row[-d - 1])
+            for row, d in zip(self.tables, digits)
+            if d
+        ]
+
+    def mul(self, scalar: int) -> AffinePoint:
+        """``scalar * P`` via table lookups (matches ``multiply``)."""
+        points = self.lookups(scalar)
+        if not points:
             return None
         ops = self.ops
-        add_affine, neg = ops.jac_add_affine, ops.neg
+        add_affine = ops.jac_add_affine
         acc = ops.jac_infinity
-        digits = signed_digits(scalar, self.window, self.num_windows)
-        for row, d in zip(self.tables, digits):
-            if d > 0:
-                acc = add_affine(acc, row[d - 1])
-            elif d:
-                acc = add_affine(acc, neg(row[-d - 1]))
+        for pt in points:
+            acc = add_affine(acc, pt)
         return ops.encode(ops.to_affine(acc))
 
 
@@ -309,11 +324,16 @@ class FixedBaseMSM:
                     groups[off - d].append(neg(row[t]))
 
     def _buckets(
-        self, folded_rows: List[List[int]], w: int
+        self,
+        folded_rows: List[List[int]],
+        w: int,
+        extra: Optional[Sequence[Sequence[tuple]]] = None,
     ) -> Tuple[List[AffinePoint], int]:
         """Every row's reduced buckets at window ``w``, and the number of
         bucket spaces per row: space ``sp`` of row ``r`` is the
-        ``2^(w-1)`` buckets from ``(r * spaces + sp) * 2^(w-1)``."""
+        ``2^(w-1)`` buckets from ``(r * spaces + sp) * 2^(w-1)``.
+        ``extra[r]`` joins row ``r``'s digit-1 bucket of space 0, the one
+        bucket of weight 1."""
         half = 1 << (w - 1)
         spaces = _spaces(self.step, w)
         width = spaces * half
@@ -330,6 +350,8 @@ class FixedBaseMSM:
                     for i in range(_num_windows(w))
                 ]
                 self._fill_spaces(groups, row, slots, w)
+        for r, points in enumerate(extra or ()):
+            groups[r * width].extend(points)
         return batch_affine_reduce(groups), spaces
 
     def msm(self, scalars: Sequence[int]) -> AffinePoint:
@@ -356,17 +378,26 @@ class FixedBaseMSM:
         return ops.encode(ops.to_affine(total))
 
     def msm_many(
-        self, scalar_rows: Sequence[Sequence[int]]
+        self,
+        scalar_rows: Sequence[Sequence[int]],
+        extra: Optional[Sequence[Sequence[tuple]]] = None,
     ) -> List[AffinePoint]:
         """Many MSMs over the same bases — every row's buckets (each of its
         bucket spaces) reduce in one batch-affine call and aggregate in one
         lockstep sweep, so the inversion cost is shared across the whole
         matrix (this is the Hyrax row-commitment hot path).  One window
-        serves the whole matrix."""
+        serves the whole matrix.
+
+        ``extra[r]``, if given, is a list of decoded affine points of the
+        table's group (:meth:`FixedBaseTable.lookups`) added to row ``r``'s
+        sum: they join the row's weight-1 bucket, so they share the
+        reduction's inversions and stay out of the window estimate."""
+        if extra is not None and len(extra) != len(scalar_rows):
+            raise ValueError("one list of extra points per row")
         folded = self._fold(scalar_rows)
         w = self._window_for(folded, _AGG_WEIGHT_MANY)
         half = 1 << (w - 1)
-        buckets, spaces = self._buckets(folded, w)
+        buckets, spaces = self._buckets(folded, w, extra)
         sums = batch_affine_weighted_bucket_sums(
             [buckets[i * half:(i + 1) * half]
              for i in range(len(folded) * spaces)]

@@ -230,7 +230,7 @@ def prove(
 ) -> Proof:
     """Produce a Groth16 proof for ``assignment`` satisfying ``instance``."""
     if rng is None:
-        rng = lambda: secrets.randbits(256)  # noqa: E731
+        rng = lambda: secrets.randbelow(R)  # noqa: E731
     if len(assignment) != instance.num_wires:
         raise ValueError("assignment length mismatch")
     if len(assignment) != len(pk.a_query):

@@ -39,7 +39,7 @@ def setup(
     reproducibility.
     """
     if rng is None:
-        rng = lambda: secrets.randbits(256)  # noqa: E731
+        rng = lambda: secrets.randbelow(R)  # noqa: E731
 
     tau = _rand_scalar(rng)
     alpha = _rand_scalar(rng)

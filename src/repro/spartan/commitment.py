@@ -7,15 +7,21 @@
   (``m1 = ceil(m/2)``); each row gets a blinded Pedersen commitment
   ``b_i * H + <row_i, G>``.
 * The commitments run on one process-wide fixed-base table over
-  ``[H, G_0, G_1, ...]`` (:func:`pedersen_table`), so the blinder is just
-  scalar 0 of each row: the whole matrix is one batched
-  :meth:`~repro.curve.fixed_base.FixedBaseMSM.msm_many` over the rows
-  ``[b_i] + row_i``.  Witness entries are mostly small signed integers;
-  the MSM folds them into ``(-r/2, r/2]``, so a negative one costs the
-  digits of its magnitude, not of a 254-bit residue.  The table stores
-  its shifted bases every 2 bits, so each call runs the window its
-  scalars want: a matrix of small entries a small window with few
-  buckets to aggregate, uniform 254-bit rows w=8.
+  ``[H, G_0, G_1, ...]`` (:func:`pedersen_table`): the whole matrix is
+  one batched :meth:`~repro.curve.fixed_base.FixedBaseMSM.msm_many` over
+  its rows.  Witness entries are mostly small signed integers; the MSM
+  folds them into ``(-r/2, r/2]``, so a negative one costs the digits of
+  its magnitude, not of a 254-bit residue.  The table stores its shifted
+  bases every 2 bits, so each call runs the window its scalars want: a
+  matrix of small entries a small window with few buckets to aggregate,
+  uniform 254-bit rows w=8.
+* The row blinders are full-width, so they do not ride that window: H
+  has its own dense w=8 table (:func:`blinder_table`, 32 windows of 128
+  points), and each blinder's ~32 lookups join its row's weight-1 bucket
+  in the same batch-affine reduction as the witness digits.  The window
+  estimate sees the witness alone.  The verifier's single-row
+  :func:`pedersen_commit` keeps H as base 0 of the Pedersen table and
+  never builds the blinder table.
 * Opening at a point ``r = (r1 || r2)`` uses the bilinear structure
   ``v~(r) = L(r1)^T M R(r2)``: the prover reveals ``t = M^T L`` and the
   combined blinder, the verifier checks ``commit(t) == sum_i L_i * C_i``
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..curve.bn254 import AffinePoint, CURVE_ORDER, eq, is_on_curve
-from ..curve.fixed_base import FixedBaseMSM
+from ..curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from ..curve.msm import msm
 from ..field.extension import P as FQ_MODULUS
 from ..field.prime_field import sqrt_mod
@@ -76,6 +82,12 @@ _PEDERSEN_STEP = 2
 _PEDERSEN_TABLE: Optional[FixedBaseMSM] = None
 _PEDERSEN_LOCK = threading.Lock()
 
+# The dense signed-digit table of H a commit takes its blinders' points
+# from: 4,096 affine points at w=8, built by a prover's first commit (or
+# its warm-up), never by a verifier (PERF.md "Hyrax commit").
+_BLINDER_WINDOW = 8
+_BLINDER_TABLE: Optional[FixedBaseTable] = None
+
 
 def pedersen_generators(count: int) -> List[AffinePoint]:
     """Deterministic independent generators G_0..G_{count-1} (cached)."""
@@ -105,6 +117,17 @@ def pedersen_table(count: int) -> FixedBaseMSM:
         if have < count:
             _PEDERSEN_TABLE.extend(pedersen_generators(count)[have:])
         return _PEDERSEN_TABLE
+
+
+def blinder_table() -> FixedBaseTable:
+    """The shared dense table of the blinder generator H (built once)."""
+    global _BLINDER_TABLE
+    with _PEDERSEN_LOCK:
+        if _BLINDER_TABLE is None:
+            _BLINDER_TABLE = FixedBaseTable(
+                blinder_generator(), window=_BLINDER_WINDOW
+            )
+        return _BLINDER_TABLE
 
 
 def _is_canonical_generators(
@@ -168,7 +191,7 @@ class HyraxProver:
     def __init__(self, vec: Sequence[int], num_vars: int,
                  rng: Optional[Callable[[], int]] = None):
         if rng is None:
-            rng = lambda: secrets.randbits(256)  # noqa: E731
+            rng = lambda: secrets.randbelow(R)  # noqa: E731
         size = 1 << num_vars
         if len(vec) > size:
             raise ValueError("vector longer than 2^num_vars")
@@ -185,12 +208,14 @@ class HyraxProver:
     def commit(self) -> HyraxCommitment:
         # All rows share the canonical generators, so the whole matrix
         # commits through the one Pedersen table in one batched pass: each
-        # row is the MSM of ``[blinder] + row`` over ``[H, G_0, ...]``, and
-        # every bucket insertion and aggregation addition across all rows
-        # shares batched inversions.
+        # row is the MSM of ``[0] + row`` over ``[H, G_0, ...]`` plus its
+        # blinder's lookups in H's table, and every bucket insertion and
+        # aggregation addition across all rows shares batched inversions.
         table = pedersen_table(1 << self.col_vars)
+        lookups = blinder_table().lookups
         commits = table.msm_many(
-            [[b, *row] for b, row in zip(self.blinders, self.rows)]
+            [[0, *row] for row in self.rows],
+            extra=[lookups(b) for b in self.blinders],
         )
         return HyraxCommitment(
             row_commits=commits,

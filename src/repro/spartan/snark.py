@@ -28,6 +28,7 @@ from .commitment import (
     HyraxCommitment,
     HyraxOpening,
     HyraxProver,
+    blinder_table,
     hyrax_shape,
     hyrax_verify,
     pedersen_table,
@@ -71,11 +72,13 @@ def _shape(instance: R1CSInstance):
 
 
 def warm(num_public: int, num_witness: int) -> None:
-    """Build the Pedersen table rows :func:`prove` commits a witness with,
-    for an instance with these wire counts (idempotent)."""
+    """Build the Pedersen table rows and the blinder table :func:`prove`
+    commits a witness with, for an instance with these wire counts
+    (idempotent)."""
     half = _half(num_public, num_witness)
     _, col_vars = hyrax_shape(half.bit_length() - 1)
     pedersen_table(1 << col_vars)
+    blinder_table()
 
 
 def _column(index: int, num_public: int, half: int) -> int:

@@ -14,12 +14,15 @@ small MSM.
 * no proof makes a generic ``multiply`` call, and ``warm`` builds exactly
   the five query tables a proof uses;
 * two keys whose fingerprints collide still prove correctly, and six
-  keys rotating keep every table resident.
+  keys rotating keep every table resident;
+* the default randomness of the trusted setup, the Groth16 prover and
+  the Hyrax blinders is uniform below r (``secrets.randbelow``).
 """
 
 import hashlib
 import importlib
 import random
+import secrets
 
 import pytest
 
@@ -42,8 +45,9 @@ from repro.curve.fixed_base import (
 )
 from repro.curve.msm import msm
 from repro.gadgets.matmul import MatmulCircuit
-from repro.groth16 import prove, verify
+from repro.groth16 import prove, setup, verify
 from repro.groth16.prove import QUERY_LABELS
+from repro.spartan.commitment import HyraxProver, hyrax_verify
 
 # The package attributes ``repro.groth16.prove`` and ``repro.curve.msm``
 # are functions; these are the modules.
@@ -342,3 +346,36 @@ class TestBlindingTables:
         assert all(
             _FIXED_BASE_CACHE[lbl].table is t for lbl, t in tables.items()
         )
+
+
+def test_default_randomness_is_uniform_below_r(monkeypatch):
+    """``randbits(256) % r`` makes residues below ``2^256 mod r`` 6/5 as
+    likely as the rest; every default draw is ``randbelow(r)`` instead:
+    the toxic waste, r and s, and the Hyrax row blinders."""
+    draws = []
+    real = secrets.randbelow
+
+    def below(n):
+        draws.append(n)
+        return real(n)
+
+    def biased(_bits):
+        raise AssertionError("a default draw reduced randbits mod r")
+
+    monkeypatch.setattr(secrets, "randbits", biased)
+    monkeypatch.setattr(secrets, "randbelow", below)
+    circuit = MatmulCircuit(2, 3, 2, "crpc_psq")
+    rng = random.Random(5)
+    circuit.assign(
+        [[rng.randint(-128, 127) for _ in range(3)] for _ in range(2)],
+        [[rng.randint(-128, 127) for _ in range(2)] for _ in range(3)],
+    )
+    instance = circuit.cs.specialize(circuit.packing_point())
+    keypair = setup(instance)
+    pf = prove(keypair.pk, instance, circuit.cs.assignment())
+    assert verify(keypair.vk, circuit.cs.public_inputs(), pf)
+    assert draws == [R] * 7  # five setup scalars, then r and s
+    hyrax = HyraxProver(list(range(16)), 4)
+    point = [3, 5, 7, 11]
+    assert hyrax_verify(hyrax.commit(), point, hyrax.open(point))
+    assert draws == [R] * 11  # and a blinder per row

@@ -7,17 +7,25 @@
   and G2 for the scalars folding into ``(-r/2, r/2]`` treats specially:
   0, 1, ``r//2``, ``r//2 + 1``, ``r - 1``, int8 negatives, all-negative
   rows, and ``s`` with ``r - s`` on a duplicated base;
-* Hyrax row commitments are byte-identical to the two-table
-  implementation they replace (sha256 pinned from it), and
-  ``pedersen_commit`` equals its definition;
+* ``FixedBaseTable.mul`` equals ``multiply`` on G1 and G2 at the
+  folding edges, and the w=8 blinder table's ``lookups`` sum to
+  ``multiply(H, b)``;
+* Hyrax row commitments are byte-identical to the implementations they
+  replace (sha256 pinned from them, including the ``spartan_crpc``
+  witness shape), a zero row with a zero blinder commits to infinity,
+  and ``pedersen_commit`` equals its definition;
 * ``hyrax_verify`` rejects mis-shaped commitments and openings with
   ``False`` instead of raising, and never grows the generator table;
-* ``SpartanBackend.warm`` prebuilds the table a proof needs, idempotently,
-  without changing a commitment;
+* ``SpartanBackend.warm`` prebuilds the tables a proof needs,
+  idempotently, without changing a commitment, so the proof builds
+  nothing; eight threads committing from a cold start build one blinder
+  table and get the pinned digests;
 * a table stored at step 2 gives the naive sum at every window a call may
   run (2, 4, 6, 8), and its chooser picks w=8 for uniform rows and a
-  smaller window for an int8 witness matrix, while a table with a single
-  candidate window never evaluates the estimate;
+  smaller window for an int8 witness matrix (w=4 for the padded
+  ``spartan_crpc`` commit, whose estimate never sees the blinders),
+  while a table with a single candidate window never evaluates the
+  estimate;
 * a table stored at step 8 (the Groth16 query tables, G1 and G2) gives the
   naive sum at its divisor windows 2 and 4 (several bucket spaces) and
   at 8, and its chooser skips scalars whose base is absent;
@@ -26,6 +34,10 @@
 
 import hashlib
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import pytest
 from _g2_reference import reference_g2_msm
@@ -46,6 +58,7 @@ from repro.curve.bn254 import (
 )
 from repro.curve.fixed_base import (
     FixedBaseMSM,
+    FixedBaseTable,
     clear_fixed_base_cache,
     fixed_base_msm,
 )
@@ -56,6 +69,7 @@ from repro.spartan.commitment import (
     HyraxOpening,
     HyraxProver,
     blinder_generator,
+    blinder_table,
     hyrax_verify,
     pedersen_commit,
     pedersen_generators,
@@ -160,6 +174,41 @@ class TestFoldedMsmEquivalence:
             clear_fixed_base_cache()
 
 
+TABLE_EDGES = [0, 1, R // 2, R // 2 + 1, R - 1, -1, 1 << 253]
+TABLE_EDGE_IDS = ["0", "1", "r/2", "r/2+1", "r-1", "-1", "2^253"]
+_GENERATOR_TABLES = {}
+
+
+def _generator_table(group):
+    if group not in _GENERATOR_TABLES:
+        gen = {"g1": g1_generator, "g2": g2_generator}[group]()
+        _GENERATOR_TABLES[group] = gen, FixedBaseTable(gen)
+    return _GENERATOR_TABLES[group]
+
+
+class TestFixedBaseTableLookups:
+    """``mul`` is the sum of ``lookups``, one digit walk for both."""
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    @pytest.mark.parametrize("scalar", TABLE_EDGES, ids=TABLE_EDGE_IDS)
+    def test_mul_matches_multiply(self, group, scalar):
+        gen, table = _generator_table(group)
+        assert table.mul(scalar) == multiply(gen, scalar)
+
+    @pytest.mark.parametrize(
+        "scalar", TABLE_EDGES + [_S], ids=TABLE_EDGE_IDS + ["s"]
+    )
+    def test_blinder_lookups_sum_to_multiply(self, scalar):
+        table = blinder_table()
+        assert table.window == 8 and len(table.tables) == 32
+        assert all(len(row) == 128 for row in table.tables)
+        points = table.lookups(scalar)
+        assert len(points) <= 32
+        assert reduce(add, points, None) == multiply(
+            blinder_generator(), scalar
+        )
+
+
 def _row_digest(com):
     return hashlib.sha256(
         b"".join(point_to_bytes(p) for p in com.row_commits)
@@ -174,23 +223,41 @@ def _int8_vector(rng, n):
     ]
 
 
+def _crpc_witness_vector(rng):
+    """The shape of the ``spartan_crpc`` witness commit, 64 rows of 32:
+    32 int8 rows (half negative), one row of 31 full-width scalars and a
+    zero, then 31 all-zero padding rows that carry only their blinder."""
+    full = [rng.randrange(R) for _ in range(31)] + [0]
+    return _int8_vector(rng, 32 * 32) + full + [0] * (31 * 32)
+
+
 def _seeded_prover(kind):
-    """A seeded HyraxProver over 2^8 entries: a zero-padded int8 vector
-    (half negative) or a uniform random one."""
+    """A seeded HyraxProver: over 2^8 entries, a zero-padded int8 vector
+    (half negative) or a uniform random one; over 2^11, the
+    ``spartan_crpc`` witness shape."""
     if kind == "int8":
         rng = random.Random(0x1D8)
         vec = _int8_vector(rng, 200)
+    elif kind == "spartan_crpc":
+        rng = random.Random(0xC4C2)
+        vec = _crpc_witness_vector(rng)
+        return HyraxProver(vec, 11, rng=lambda: rng.randrange(R))
     else:
         rng = random.Random(0x2A4D)
         vec = [rng.randrange(R) for _ in range(256)]
     return HyraxProver(vec, 8, rng=lambda: rng.randrange(R))
 
 
-# sha256 of the row commitments, taken from the implementation with a
-# separate generator table, a dense blinder table and a final pairwise add.
+# sha256 of the row commitments: ``int8`` and ``random`` taken from the
+# implementation with a separate generator table, a dense blinder table and
+# a final pairwise add; ``spartan_crpc`` from the one-table implementation
+# that committed each blinder as scalar 0 of its row.
 HYRAX_PINS = {
     "int8": "c1b952d983aa1a98ae4089a4361612021cc6f710545696305a061945112aac21",
     "random": "e6c3e4bffb74dd28074eba539ba627c3283d3aebbe51600bf5f88cf23da6fda2",
+    "spartan_crpc": (
+        "4f371a4e3443da5c963a50b813cb4fec3cb075a228b58e19269cf94f7e725797"
+    ),
 }
 
 
@@ -198,6 +265,16 @@ class TestHyraxByteIdentity:
     @pytest.mark.parametrize("kind", sorted(HYRAX_PINS))
     def test_row_commits_match_pinned(self, kind):
         assert _row_digest(_seeded_prover(kind).commit()) == HYRAX_PINS[kind]
+
+    def test_zero_row_with_zero_blinder_commits_to_infinity(self):
+        vec = [0] * 8 + [5, -3] * 4 + [0] * 48
+        blinders = iter([0, 0, 7, R - 1, 0, 3, _S, 1])
+        hp = HyraxProver(vec, 6, rng=lambda: next(blinders))
+        gens = pedersen_generators(8)
+        assert hp.commit().row_commits == [None] + [
+            pedersen_commit(row, b, gens)
+            for row, b in zip(hp.rows[1:], hp.blinders[1:])
+        ]
 
     @pytest.mark.parametrize("blinder", [0, 1, R - 1])
     def test_pedersen_commit_matches_definition(self, blinder):
@@ -257,24 +334,70 @@ class TestHyraxShapeRejection:
             assert verifier.verify(bundle) is False
 
 
+def _cold_tables(monkeypatch):
+    monkeypatch.setattr(commitment, "_PEDERSEN_TABLE", None)
+    monkeypatch.setattr(commitment, "_BLINDER_TABLE", None)
+
+
+def _count_builds(monkeypatch):
+    """Count blinder-table builds and Pedersen-table extensions."""
+    builds = []
+    for cls, name in ((FixedBaseTable, "__init__"), (FixedBaseMSM, "extend")):
+        real = getattr(cls, name)
+
+        def spy(self, *args, _real=real, _name=name, **kwargs):
+            builds.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    return builds
+
+
 class TestSpartanWarm:
     def test_warm_is_idempotent_and_covers_a_proof(self, monkeypatch):
-        monkeypatch.setattr(commitment, "_PEDERSEN_TABLE", None)
+        _cold_tables(monkeypatch)
         before = _row_digest(_seeded_prover("int8").commit())
-        monkeypatch.setattr(commitment, "_PEDERSEN_TABLE", None)
+        _cold_tables(monkeypatch)
         backend = SpartanBackend()
         circuit = MatmulCircuit(4, 8, 4, "crpc_psq")
         backend.warm(None, circuit)
         table = commitment._PEDERSEN_TABLE
+        blinders = commitment._BLINDER_TABLE
+        assert blinders is not None and blinders.window == 8
         size = len(table)
         backend.warm(None, circuit)
         assert commitment._PEDERSEN_TABLE is table and len(table) == size
+        assert commitment._BLINDER_TABLE is blinders
+        builds = _count_builds(monkeypatch)
         rng = random.Random(8)
         x = [[rng.randint(-128, 127) for _ in range(8)] for _ in range(4)]
         w = [[rng.randint(-128, 127) for _ in range(4)] for _ in range(8)]
         backend.prove(circuit, None, x, w)
-        assert len(table) == size  # the proof found every row it needed
+        assert builds == []  # the proof found every table it needed
+        assert len(table) == size
         assert _row_digest(_seeded_prover("int8").commit()) == before
+
+    def test_concurrent_cold_commits_match_pins(self, monkeypatch):
+        _cold_tables(monkeypatch)
+        builds = _count_builds(monkeypatch)
+        kinds = ["int8", "spartan_crpc"] * 4
+        provers = [_seeded_prover(kind) for kind in kinds]
+        barrier = threading.Barrier(len(provers), timeout=60)
+
+        def commit(prover):
+            barrier.wait()
+            return _row_digest(prover.commit())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the lazy table builds
+        try:
+            with ThreadPoolExecutor(max_workers=len(provers)) as pool:
+                futures = [pool.submit(commit, p) for p in provers]
+                digests = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == [HYRAX_PINS[kind] for kind in kinds]
+        assert builds.count("__init__") == 1  # one blinder table
 
 
 def _window_cases():
@@ -472,6 +595,35 @@ class TestWindowChooser:
     def test_int8_witness_selects_smaller(self):
         rows = _crpc_witness_rows()
         assert self._pick(rows, fixed_base._AGG_WEIGHT_MANY) < 8
+
+    def test_padded_witness_selects_4(self, monkeypatch):
+        chosen, seen = [], []
+        real_for, real_costs = FixedBaseMSM._window_for, fixed_base._window_costs
+
+        def window_for(self, folded, weight):
+            chosen.append(real_for(self, folded, weight))
+            return chosen[-1]
+
+        def costs(windows, step, folded_rows, shifted, weight):
+            seen.append(folded_rows)
+            return real_costs(windows, step, folded_rows, shifted, weight)
+
+        monkeypatch.setattr(FixedBaseMSM, "_window_for", window_for)
+        monkeypatch.setattr(fixed_base, "_window_costs", costs)
+        prover = _seeded_prover("spartan_crpc")
+        prover.commit()
+        assert chosen == [4]
+        # The estimate sees the witness alone: column 0 (H) is empty.
+        (rows,) = seen
+        assert all(row[0] == 0 for row in rows)
+        table = pedersen_table(32)
+        assert real_costs(
+            table.windows, 2, rows, table.shifted, 1
+        ) == real_costs(
+            table.windows, 2, [[fold_scalar(v) for v in row]
+                               for row in prover.rows],
+            table.shifted[1:], 1,
+        )
 
     def test_opening_row_selects_measured_window(self):
         (row,) = _uniform_rows(1, 32)

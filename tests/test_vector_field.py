@@ -375,7 +375,7 @@ class TestProofByteIdentity:
             inst.invalidate_flat_cache()
             prng = random.Random(777)
             monkeypatch.setattr(
-                secrets, "randbits", lambda n: prng.getrandbits(n)
+                secrets, "randbelow", lambda n: prng.randrange(n)
             )
             return serialize.spartan_proof_to_bytes(
                 prove(inst, assignment, Transcript())
@@ -404,7 +404,7 @@ class TestProofByteIdentity:
             inst.invalidate_flat_cache()
             prng = random.Random(31337)
             monkeypatch.setattr(
-                secrets, "randbits", lambda n: prng.getrandbits(n)
+                secrets, "randbelow", lambda n: prng.randrange(n)
             )
             out[mode] = serialize.spartan_proof_to_bytes(
                 prove(inst, assignment, Transcript())
