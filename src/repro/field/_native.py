@@ -1,17 +1,14 @@
-"""Optional runtime-compiled C kernels for the vector field engine.
+"""Runtime-compiled C kernels behind the vector field engine.
 
-The vector backend (:mod:`repro.field.vector`) is a numpy limb/digit engine;
-on hosts that also ship a C compiler the hottest kernels — 4x64 Montgomery
-multiply, modular add/sub, the radix-2 NTT butterfly sweep, and the CSR
-matvec — run instead through a tiny shared library compiled here at first
-use.  Nothing is ever installed: the source below is written to a per-user
-cache directory under the system tempdir, compiled with whatever ``cc``/
-``gcc``/``clang`` is on PATH, and loaded via :mod:`ctypes`.  Any failure
-(no compiler, sandboxed tempdir, broken toolchain) silently degrades to the
-pure-numpy engine; correctness never depends on this module.
-
-Set ``REPRO_FIELD_NATIVE=0`` to refuse the compiled path outright (the
-equivalence tests use this to pin the numpy engine).
+The vector backend (:mod:`repro.field.vector`) runs its hottest kernels —
+4x64 Montgomery multiply, modular add/sub, the radix-2 NTT butterfly
+sweep, and the CSR matvec — through a tiny shared library compiled here at
+first use.  Nothing is ever installed: the source below is compiled with
+whatever ``cc``/``gcc``/``clang`` is on PATH into
+``$TMPDIR/repro-fr-native-<digest>-u<uid>/fr.so`` and loaded via
+:mod:`ctypes`.  Any failure (no compiler, sandboxed tempdir, broken
+toolchain) makes :func:`load` return ``None`` and the field engine runs
+the scalar backend; correctness never depends on this module.
 
 Layout contract shared with :mod:`vector`: field elements travel as
 ``(n, 4)`` little-endian ``uint64`` limb arrays, canonical (``< p``) unless
@@ -29,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from typing import Optional
 
 # BN254 Fr.
@@ -201,33 +199,41 @@ def _cache_dir() -> str:
     )
 
 
-def _build(lib_path: str) -> bool:
+def _build(lib_path: str) -> Optional["NativeFr"]:
+    """Compile the kernels, load and self-test them, then publish the
+    library at ``lib_path``; ``None`` on any failure."""
     cc = _compiler()
     if cc is None:
-        return False
+        return None
     build_dir = os.path.dirname(lib_path)
     os.makedirs(build_dir, exist_ok=True)
-    src_path = os.path.join(build_dir, "fr.c")
-    with open(src_path, "w") as fh:
-        fh.write(_SOURCE)
-    tmp_path = os.path.join(build_dir, f"fr-{os.getpid()}.so.tmp")
+    # Per-process file names: a concurrent builder never compiles a
+    # half-written source, and only a library that passed the self-test
+    # replaces the shared one.
+    stem = os.path.join(build_dir, f"fr-{os.getpid()}")
+    src_path, tmp_path = stem + ".c", stem + ".so.tmp"
     try:
+        with open(src_path, "w") as fh:
+            fh.write(_SOURCE)
         proc = subprocess.run(
             [cc, "-O3", "-shared", "-fPIC", "-o", tmp_path, src_path],
             capture_output=True,
             timeout=120,
         )
         if proc.returncode != 0:
-            return False
-        os.replace(tmp_path, lib_path)  # atomic vs concurrent builders
-        return True
+            return None
+        native = _open(tmp_path)
+        if native is not None:
+            os.replace(tmp_path, lib_path)  # atomic vs concurrent builders
+        return native
     except (OSError, subprocess.SubprocessError):
-        return False
+        return None
     finally:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+        for path in (src_path, tmp_path):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 class NativeFr:
@@ -287,41 +293,57 @@ def _self_test(native: "NativeFr") -> bool:
     return int.from_bytes(out.tobytes(), "little") == a * b % _P
 
 
+def _open(lib_path: str) -> Optional["NativeFr"]:
+    """The library at ``lib_path`` if it loads, has every kernel and passes
+    the self-test, else ``None``."""
+    try:
+        native = NativeFr(ctypes.CDLL(lib_path))
+    except (OSError, AttributeError):
+        return None
+    return native if _self_test(native) else None
+
+
 _LOADED: Optional[NativeFr] = None
 _TRIED = False
+_LOCK = threading.Lock()
 
 
 def load() -> Optional[NativeFr]:
     """The compiled kernels, or ``None`` when unavailable.
 
     The first call does the work (cache lookup, compile, self-test); later
-    calls return the memoized result.
+    calls return the memoized result.  A cached library that fails to load
+    or to self-test (say, one compiled from a truncated source) is
+    rebuilt once.
     """
     global _LOADED, _TRIED
     if _TRIED:
         return _LOADED
-    _TRIED = True
-    if os.environ.get("REPRO_FIELD_NATIVE", "").lower() in ("0", "off", "false"):
-        return None
+    with _LOCK:
+        if not _TRIED:
+            _LOADED = _load_uncached()
+            _TRIED = True
+    return _LOADED
+
+
+def _load_uncached() -> Optional[NativeFr]:
     if sys.platform == "win32":  # no known-good default toolchain contract
         return None
     if sys.byteorder != "little":  # C kernels assume LE limb memory
         return None
     try:
         lib_path = os.path.join(_cache_dir(), "fr.so")
-        if not os.path.exists(lib_path) and not _build(lib_path):
-            return None
-        native = NativeFr(ctypes.CDLL(lib_path))
-        if not _self_test(native):
-            return None
-        _LOADED = native
+        if os.path.exists(lib_path):
+            native = _open(lib_path)
+            if native is not None:
+                return native
+        return _build(lib_path)  # replaces a bad cached library
     except Exception:
-        _LOADED = None
-    return _LOADED
+        return None
 
 
 def reset_for_tests() -> None:
-    """Forget the memoized load so env-var changes take effect."""
+    """Forget the memoized load so the next call looks again."""
     global _LOADED, _TRIED
     _LOADED = None
     _TRIED = False

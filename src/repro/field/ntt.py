@@ -94,7 +94,7 @@ class NTTPlan:
         self._fwd: Optional[list] = None
         self._inv: Optional[list] = None
         self._ladders: Dict[int, Tuple[List[int], List[int]]] = {}
-        self._vec: Dict[str, dict] = {}
+        self._vec: Optional[dict] = None
 
     @property
     def fwd_stages(self):
@@ -156,16 +156,13 @@ class NTTPlan:
 
     # -- vector engine ------------------------------------------------------
     def vec_state(self) -> Optional[dict]:
-        """Per-engine kernel cache for the active vector implementation, or
-        ``None`` when the scalar backend is active or ``n`` is below the
-        engine's profitability floor.  Keyed by implementation name so a
-        runtime backend switch (tests, ``set_backend``) rebuilds cleanly."""
-        impl = _vector.active_impl()
-        if impl is None or self.n < _vector.NTT_MIN[impl]:
+        """Vector-engine kernel cache, or ``None`` when the scalar backend
+        is active or ``n`` is below the profitability floor."""
+        if _vector.active_impl() is None or self.n < _vector.NTT_MIN:
             return None
-        state = self._vec.get(impl)
+        state = self._vec
         if state is None:
-            state = self._vec[impl] = {
+            state = self._vec = {
                 "rev": _vector.np.asarray(self.rev, dtype=_vector.np.intp),
                 "fwd": None,
                 "inv": None,
@@ -178,7 +175,7 @@ class NTTPlan:
         kern = state[key]
         if kern is None:
             stages = self.inv_stages if inverse else self.fwd_stages
-            kern = state[key] = _vector.make_ntt_kernel(stages)
+            kern = state[key] = _vector.NTTKernel(stages)
         return kern
 
     def _vec_ladder(self, state: dict, g: int):

@@ -298,9 +298,12 @@ def sumcheck_prove(
     # floor.  Both paths emit identical round evaluations (vec_sum is an
     # exact column sum), so the transcript never notices the switch.
     vec_fn = _VEC_KERNELS.get(kernel) if round_fn is not None else None
-    impl = _vector.active_impl() if vec_fn is not None else None
     vtables = None
-    if impl is not None and size // 2 >= _vector.SUMCHECK_MIN_HALF[impl]:
+    if (
+        vec_fn is not None
+        and _vector.active_impl() is not None
+        and size // 2 >= _vector.SUMCHECK_MIN_HALF
+    ):
         vtables = [_vector.to_limbs(t) for t in tables]
         tables = []
     else:
@@ -327,9 +330,7 @@ def sumcheck_prove(
         r_point.append(r)
         if vtables is not None:
             vtables = [_vec_bind(t, half, r) for t in vtables]
-            if half // 2 < _vector.SUMCHECK_MIN_HALF.get(
-                _vector.active_impl(), size
-            ):
+            if half // 2 < _vector.SUMCHECK_MIN_HALF:
                 tables = [_vector.from_limbs(t) for t in vtables]
                 vtables = None
         else:

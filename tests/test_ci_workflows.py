@@ -152,3 +152,15 @@ def test_ci_runs_e2e_benchmark_tests():
     assert os.path.isdir(os.path.join(REPO_ROOT, "benchmarks", "e2e"))
     assert any("pytest -q benchmarks/e2e" in step["run"]
                for _, step in _run_steps(ci))
+
+
+def test_ci_requires_native_field_engine_before_tier1():
+    """The engine-parametrised field tests skip without the native
+    kernels; the main job must fail instead of running them as skips."""
+    ci = _load(os.path.join(WORKFLOW_DIR, "ci.yml"))
+    names = [step.get("name", "") for step in ci["jobs"]["test"]["steps"]]
+    check = names.index("Native field engine compiles")
+    assert check < names.index("Tier-1 tests")
+    step = ci["jobs"]["test"]["steps"][check]
+    assert "vector.active_impl() == 'native'" in step["run"]
+    assert step["env"]["PYTHONPATH"] == "src"

@@ -2,17 +2,15 @@
 
 Every vectorized operation is checked against the scalar big-int oracle
 over random vectors *and* adversarial lanes (0, 1, p-1, unreduced >= p
-inputs, mixed batch lengths), for every engine available on this host
-(native C kernels and/or the numpy digit engine).  The end-to-end tests
-force `REPRO_FIELD_BACKEND` each way and require byte-identical Groth16
-and Spartan proofs.
+inputs, mixed batch lengths) on the native C kernels.  The end-to-end
+tests force `REPRO_FIELD_BACKEND` each way and require byte-identical
+Groth16 and Spartan proofs.
 
-Without numpy the vector backend is unavailable; the engine-parametrised
-tests then skip and the backend-selection tests assert the scalar
-degradation path.
+Without numpy or a working C compiler the vector backend is unavailable;
+the engine-parametrised tests then skip and the backend-selection tests
+assert the scalar degradation path.
 """
 
-import os
 import random
 import secrets
 
@@ -78,7 +76,7 @@ class TestConversions:
 class TestElementwiseOps:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_add_sub_mul(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         a = _vectors(rng, n)
         b = list(reversed(_vectors(rng, n)))
         al, bl = vector.to_limbs(a), vector.to_limbs(b)
@@ -94,14 +92,14 @@ class TestElementwiseOps:
 
     @pytest.mark.parametrize("s", [0, 1, R - 1, 7, R + 5])
     def test_mul_scalar(self, impl, s, rng):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         a = _vectors(rng, 100)
         got = vector.from_limbs(vector.vec_mul_scalar(vector.to_limbs(a), s))
         assert got == [x % R * (s % R) % R for x in a]
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_mul_prepared(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         a = _vectors(rng, n)
         w = list(reversed(_vectors(rng, n)))
         prep = vector.prepare_multipliers(w)
@@ -110,13 +108,13 @@ class TestElementwiseOps:
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_vec_sum(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         a = _vectors(rng, n)
         assert vector.vec_sum(vector.to_limbs(a)) == sum(v % R for v in a) % R
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255])
     def test_batch_inv(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         a = [rng.randrange(1, R) for _ in range(n)]
         a[0] = 1
         if n > 2:
@@ -125,7 +123,7 @@ class TestElementwiseOps:
         assert got == batch_inv_mod(a, R)
 
     def test_batch_inv_zero_lane_raises(self, impl):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         arr = vector.to_limbs([3, 0, 5])
         with pytest.raises(ZeroDivisionError):
             vector.batch_inv(arr)
@@ -133,7 +131,7 @@ class TestElementwiseOps:
     @given(vals=st.lists(elems, min_size=1, max_size=40))
     @settings(max_examples=10)
     def test_property_mul_matches_scalar(self, impl, vals):
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         al = vector.to_limbs(vals)
         sq = vector.from_limbs(vector.vec_mul(al, al))
         assert sq == [v * v % R for v in vals]
@@ -149,7 +147,7 @@ class TestNTTEquivalence:
         plan = get_plan(n)
         want_f = plan.ntt(vals)
         want_i = plan.ntt(vals, inverse=True)
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         assert plan.ntt(vals) == want_f
         assert plan.ntt(vals, inverse=True) == want_i
 
@@ -161,7 +159,7 @@ class TestNTTEquivalence:
         plan = get_plan(n)
         want_ev = plan.coset_ntt(coeffs, 7)
         want_back = plan.coset_intt(want_ev, 7)
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         got_ev = plan.coset_ntt(coeffs, 7)
         assert got_ev == want_ev
         assert plan.coset_intt(got_ev, 7) == want_back
@@ -169,7 +167,7 @@ class TestNTTEquivalence:
 
     def test_below_floor_uses_scalar_path(self, impl):
         # Tiny transforms must bypass the vector engine entirely.
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         clear_ntt_plan_cache()
         plan = get_plan(4)
         assert plan.vec_state() is None
@@ -197,26 +195,24 @@ class TestCSRMatvec:
 
         return R1CSInstance(wires, 1, mk(), mk(), mk())
 
-    def test_matvec_matches_scalar(self, impl, rng):
+    def test_matvec_matches_scalar(self, impl, rng, monkeypatch):
         inst = self._instance(rng)
         z = _vectors(rng, 128)
         vector.set_backend("scalar")
         want = [inst.matvec(w, z) for w in "ABC"]
         want_products = list(inst.eval_products(z))
-        vector.set_backend("vector", impl)
+        vector.set_backend("vector")
         inst.invalidate_flat_cache()
         # Force the kernel on regardless of instance size.
-        old = dict(vector.MATVEC_MIN_TERMS)
-        vector.MATVEC_MIN_TERMS[impl] = 1
+        monkeypatch.setattr(vector, "MATVEC_MIN_TERMS", 1)
         try:
             assert [inst.matvec(w, z) for w in "ABC"] == want
             assert list(inst.eval_products(z)) == want_products
             assert inst.flat("A").vec_kernel() is not None
         finally:
-            vector.MATVEC_MIN_TERMS.update(old)
             inst.invalidate_flat_cache()
 
-    def test_is_satisfied_both_ways(self, impl, rng):
+    def test_is_satisfied_both_ways(self, impl, rng, monkeypatch):
         from repro.r1cs import LC, ConstraintSystem
 
         cs = ConstraintSystem()
@@ -228,14 +224,12 @@ class TestCSRMatvec:
         good = cs.assignment()
         bad = list(good)
         bad[-1] = (bad[-1] + 1) % R
-        vector.set_backend("vector", impl)
-        old = dict(vector.MATVEC_MIN_TERMS)
-        vector.MATVEC_MIN_TERMS[impl] = 1
+        vector.set_backend("vector")
+        monkeypatch.setattr(vector, "MATVEC_MIN_TERMS", 1)
         try:
             assert inst.is_satisfied(good)
             assert not inst.is_satisfied(bad)
         finally:
-            vector.MATVEC_MIN_TERMS.update(old)
             inst.invalidate_flat_cache()
         vector.set_backend("scalar")
         assert inst.is_satisfied(good)
@@ -247,7 +241,9 @@ class TestSumcheckEquivalence:
     @pytest.mark.parametrize("kernel,num_tables", [
         ("prod2", 2), ("prod3", 3), ("eq_abc", 4),
     ])
-    def test_rounds_match_scalar(self, impl, kernel, num_tables, rng):
+    def test_rounds_match_scalar(
+        self, impl, kernel, num_tables, rng, monkeypatch
+    ):
         from repro.spartan.sumcheck_fast import _KERNELS, sumcheck_prove
         from repro.spartan.transcript import Transcript
 
@@ -267,16 +263,12 @@ class TestSumcheckEquivalence:
             [list(t) for t in tables], None, degree, claim, Transcript(),
             b"t", kernel=kernel,
         )
-        vector.set_backend("vector", impl)
-        old = dict(vector.SUMCHECK_MIN_HALF)
-        vector.SUMCHECK_MIN_HALF[impl] = 1
-        try:
-            got = sumcheck_prove(
-                [list(t) for t in tables], None, degree, claim, Transcript(),
-                b"t", kernel=kernel,
-            )
-        finally:
-            vector.SUMCHECK_MIN_HALF.update(old)
+        vector.set_backend("vector")
+        monkeypatch.setattr(vector, "SUMCHECK_MIN_HALF", 1)
+        got = sumcheck_prove(
+            [list(t) for t in tables], None, degree, claim, Transcript(),
+            b"t", kernel=kernel,
+        )
         assert got[0].round_polys == want[0].round_polys
         assert got[1] == want[1]
         assert got[2] == want[2]
@@ -305,21 +297,18 @@ class TestBackendSelection:
             assert vector.get_backend() == "scalar"
 
     def test_vector_degrades_to_scalar_without_engines(self, monkeypatch):
-        if IMPLS:
-            pytest.skip("vector engines available on this host")
-        vector.set_backend("vector")
-        assert vector.get_backend() == "scalar"
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            vector.set_backend("vector", "quantum")
-
-    @needs_numpy
-    def test_native_pin_respected(self, monkeypatch):
-        if "numpy" not in IMPLS:
-            pytest.skip("numpy engine unavailable")
-        vector.set_backend("vector", "numpy")
-        assert vector.active_impl() == "numpy"
+        """A host without the C kernels (no numpy or no working compiler)
+        runs scalar under every mode and proves the same bytes."""
+        cs = _mul_chain_circuit()
+        inst = cs.specialize(1)
+        vector.set_backend("auto")
+        ref = _spartan_bytes(inst, cs.assignment(), monkeypatch)
+        monkeypatch.setattr(vector._native, "load", lambda: None)
+        for mode in ("auto", "vector"):
+            vector.set_backend(mode)
+            assert vector.get_backend() == "scalar"
+            assert vector.active_impl() is None
+        assert _spartan_bytes(inst, cs.assignment(), monkeypatch) == ref
 
 
 def _mul_chain_circuit(n_muls=70):
@@ -331,6 +320,20 @@ def _mul_chain_circuit(n_muls=70):
     for i in range(n_muls):
         cur = cs.mul(LC.from_wire(cur), LC.from_wire(cur), f"m{i}")
     return cs
+
+
+def _spartan_bytes(inst, assignment, monkeypatch, seed=777):
+    """Serialized Spartan proof under the active backend, with seeded
+    blinders."""
+    import repro.serialize as serialize
+    from repro.spartan import Transcript, prove
+
+    inst.invalidate_flat_cache()
+    prng = random.Random(seed)
+    monkeypatch.setattr(secrets, "randbelow", lambda n: prng.randrange(n))
+    return serialize.spartan_proof_to_bytes(
+        prove(inst, assignment, Transcript())
+    )
 
 
 @pytest.mark.slow
@@ -349,8 +352,8 @@ class TestProofByteIdentity:
         srng = random.Random(42)
         kp = setup(inst, rng=lambda: srng.getrandbits(256))
 
-        def make(backend, impl=None):
-            vector.set_backend(backend, impl)
+        def make(backend):
+            vector.set_backend(backend)
             inst.invalidate_flat_cache()
             prng = random.Random(1234)
             pf = prove(kp.pk, inst, assignment, rng=lambda: prng.getrandbits(256))
@@ -358,32 +361,23 @@ class TestProofByteIdentity:
 
         ref, pf = make("scalar")
         assert verify(kp.vk, cs.public_inputs(), pf)
-        for impl in IMPLS:
-            got, _ = make("vector", impl)
-            assert got == ref, f"{impl} proof differs from scalar"
+        if IMPLS:
+            got, _ = make("vector")
+            assert got == ref, "native proof differs from scalar"
 
     def test_spartan_byte_identical(self, monkeypatch):
         import repro.serialize as serialize
-        from repro.spartan import Transcript, prove, verify
+        from repro.spartan import Transcript, verify
 
         cs = _mul_chain_circuit()
         inst = cs.specialize(1)
         assignment = cs.assignment()
-
-        def make(backend, impl=None):
-            vector.set_backend(backend, impl)
-            inst.invalidate_flat_cache()
-            prng = random.Random(777)
-            monkeypatch.setattr(
-                secrets, "randbelow", lambda n: prng.randrange(n)
-            )
-            return serialize.spartan_proof_to_bytes(
-                prove(inst, assignment, Transcript())
-            )
-
-        ref = make("scalar")
-        for impl in IMPLS:
-            assert make("vector", impl) == ref, f"{impl} differs from scalar"
+        vector.set_backend("scalar")
+        ref = _spartan_bytes(inst, assignment, monkeypatch)
+        if IMPLS:
+            vector.set_backend("vector")
+            got = _spartan_bytes(inst, assignment, monkeypatch)
+            assert got == ref, "native proof differs from scalar"
         vector.set_backend("scalar")
         monkeypatch.undo()
         pf = serialize.spartan_proof_from_bytes(ref)
@@ -391,22 +385,13 @@ class TestProofByteIdentity:
 
     def test_env_backend_forced_each_way(self, monkeypatch):
         """The documented knob itself: REPRO_FIELD_BACKEND=scalar|vector."""
-        import repro.serialize as serialize
-        from repro.spartan import Transcript, prove
-
         cs = _mul_chain_circuit(20)
         inst = cs.specialize(1)
-        assignment = cs.assignment()
         out = {}
         for mode in ("scalar", "vector"):
             monkeypatch.setenv("REPRO_FIELD_BACKEND", mode)
             vector.set_backend(None)  # re-resolve from the environment
-            inst.invalidate_flat_cache()
-            prng = random.Random(31337)
-            monkeypatch.setattr(
-                secrets, "randbelow", lambda n: prng.randrange(n)
-            )
-            out[mode] = serialize.spartan_proof_to_bytes(
-                prove(inst, assignment, Transcript())
+            out[mode] = _spartan_bytes(
+                inst, cs.assignment(), monkeypatch, seed=31337
             )
         assert out["scalar"] == out["vector"]
