@@ -42,8 +42,10 @@ Times the dominant prover kernels on this machine:
 * **groth16_query** — a warm step-8 query table on the ``groth16_crpc``
   A-side shape (88 bases, 56 of them absent, 32 int8 scalars and one
   appended full-width blinding scalar) in G1 (``"88-g1"``) and G2
-  (``"88-g2"``), MSMs/sec, each against the generic ``msm``; quick runs
-  time both.
+  (``"88-g2"``), MSMs/sec, each against the generic ``msm``; and on the
+  ``groth16_vanilla`` H shape (``"255-g1-h"``: 255 full-width scalars,
+  w=8), the C kernel against the Python group ops on the same bases;
+  quick runs time all three.
 
 Every entry records ops/sec (points/sec for MSM, table-elements/sec for
 sumcheck, vector-elements/sec for commits), so future PRs have a perf
@@ -563,7 +565,8 @@ def bench_groth16_query(repeats: int = 1) -> Dict[str, Dict[str, float]]:
     ``groth16_crpc`` A-side shape: 88 bases of which 56 are absent, 32
     int8 wires (half negative) and one full-width blinding scalar, the
     ``r`` on the appended ``delta1``.  The generic ``msm`` on the same
-    inputs is the reference."""
+    inputs is the reference.  ``"255-g1-h"`` times the ``groth16_vanilla``
+    H query shape against the Python group ops."""
     rng = random.Random(0x9E1)
     n_runs = SMALL_KERNEL_REPEATS * repeats
     live = set(rng.sample(range(87), 32))
@@ -582,6 +585,24 @@ def bench_groth16_query(repeats: int = 1) -> Dict[str, Dict[str, float]]:
             "fast_ops_per_sec": 1 / _timed(lambda: fb.msm(scs), n_runs),
             "naive_ops_per_sec": 1 / _timed(lambda: msm(pts, scs), n_runs),
         }
+    # The groth16_vanilla H query: 255 full-width scalars on a step-8 G1
+    # table (the call runs w=8), on the active engine (the C kernel)
+    # against the Python group ops on a table over the same bases.
+    table = FixedBaseTable(g1_generator())
+    pts = [table.mul(rng.randrange(1, CURVE_ORDER)) for _ in range(255)]
+    scs = [rng.randrange(CURVE_ORDER) for _ in range(255)]
+    fb = FixedBaseMSM(pts)
+    fast = _timed(lambda: fb.msm(scs), n_runs)
+    vector.set_backend("scalar")
+    try:
+        py = FixedBaseMSM(pts)
+        naive = _timed(lambda: py.msm(scs), n_runs)
+    finally:
+        vector.set_backend(None)  # back to the env-resolved backend
+    out["255-g1-h"] = {
+        "fast_ops_per_sec": 1 / fast,
+        "naive_ops_per_sec": 1 / naive,
+    }
     return out
 
 

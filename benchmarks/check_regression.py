@@ -60,7 +60,8 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # section's ``"2"``/``"8"`` entries the Straus small-MSM path; quick runs
 # time all of them.  The groth16_query section gates the prover's warm
 # step-8 query tables (G1 and G2) on the groth16_crpc A-side shape, where
-# each call picks a window dividing the step.
+# each call picks a window dividing the step, and (``"255-g1-h"``) the C
+# G1 fixed-base kernel on the groth16_vanilla H query shape.
 # The hyrax_commit section's ``"2048-int8"`` entry gates the commit on
 # dense int8-shaped scalars (half negative), and its
 # ``"2048-spartan_crpc"`` entry on the witness a 16x32x16 Spartan matmul

@@ -8,9 +8,9 @@ multiples of each base turns those MSMs into pure table lookups:
 * :class:`FixedBaseTable` — a dense signed-digit table for one heavily
   reused point (the G1 and G2 generators in the trusted setup, the Hyrax
   blinder generator).  A scalar mul becomes ``~254/w`` mixed additions
-  with **no doublings**; :meth:`~FixedBaseTable.lookups` hands out the
-  points to add instead, so a caller can sum them inside a batch-affine
-  reduction of its own (``FixedBaseMSM.msm_many``'s ``extra`` points).
+  with **no doublings**; a caller can instead hand the table and its
+  scalars to ``FixedBaseMSM.msm_many`` (``blinding``), whose reduction
+  then takes one stored point per digit into each row's weight-1 bucket.
 * :class:`FixedBaseMSM` — per base point, the shifted copies
   ``2^(i*step) * P_j``.  An MSM then scatters signed digits into shared
   bucket spaces (the window shift is baked into the point, so digits from
@@ -24,15 +24,35 @@ multiples of each base turns those MSMs into pure table lookups:
   the first sighting of a base vector uses the generic Pippenger MSM, the
   second builds tables.  One-shot callers never pay the precompute.
 
-Everything here takes its group from the points it is given (see
-:class:`~repro.curve.bn254.GroupOps`).  G2 bases are converted to int
-tuples once, when a table is built, and results convert back.
+Two engines run the tables, and :func:`repro.field.vector.active_impl`
+picks one per call, the same rule as for the field kernels:
+
+* **C**, for G1 while the vector engine is active: a table is one array
+  of Montgomery-form Fq limbs, built by the kernels of
+  :mod:`repro.field._native` from the batch-normalised shifts, and a call
+  is one C call (:func:`_g1_msm`) that recodes the folded scalars,
+  fills the buckets straight from the table, reduces them as trees with
+  one batched inversion per round, aggregates them and returns only the
+  affine row sums as ints (PERF.md "Native G1 fixed-base MSM");
+* **Python**, for G2, for the scalar engine and on hosts without a C
+  compiler: the group ops of :class:`~repro.curve.bn254.GroupOps` on
+  int tuples, the oracle the C engine is tested against.  G2 bases are
+  converted to int tuples once, when a table is built, and results
+  convert back.
+
+A table holds one representation at a time; a call that finds the other
+engine active converts it first.
 """
 
 from __future__ import annotations
 
+import threading
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..field import _native
+from ..field import vector as _vector
+from ..field.prime_field import BN254_FQ_MODULUS as _FQ
 from .bn254 import (
     G1_OPS,
     AffinePoint,
@@ -120,6 +140,120 @@ def _window_costs(
     }
 
 
+# A bucket-tree round of the C kernel with fewer pairs than this leaves
+# its buckets to the Jacobian aggregation: the round's one batched
+# inversion (~350 multiplies) must be shared by enough affine additions
+# (6 multiplies each, against 11 for a mixed Jacobian one).
+_MIN_BATCH_PAIRS = 64
+
+# 2^-256 mod q: Montgomery-form limbs back to canonical coordinates.
+_MONT_INV = pow(2, -256, _FQ)
+
+
+def _g1_kernels(ops):
+    """The compiled kernels when a call on a table of group ``ops`` runs in
+    C: a G1 table while the vector engine is active.  Everything else runs
+    the Python group ops, which stay the oracle."""
+    if ops is G1_OPS and _vector.active_impl() is not None:
+        return _native.load()
+    return None
+
+
+def _check(rc: int) -> None:
+    if rc == -1:
+        raise MemoryError("G1 kernel out of memory")
+    if rc:
+        raise ValueError("window out of range or digits beyond the table")
+
+
+def _g1_limbs(nat, points: Sequence[tuple]):
+    """Affine G1 int tuples -> ``(n, 2, 4)`` Montgomery-form limbs."""
+    np = _vector.np
+    buf = b"".join(
+        x.to_bytes(32, "little") + y.to_bytes(32, "little") for x, y in points
+    )
+    arr = np.frombuffer(buf, dtype="<u8").reshape(len(points), 2, 4).copy()
+    nat.fq_to_mont(nat.uptr(arr), nat.uptr(arr), 2 * len(points))
+    return arr
+
+
+def _g1_points(limbs) -> List[tuple]:
+    """Montgomery-form limbs ``(..., 2, 4)`` -> affine int tuples."""
+    vals = [v * _MONT_INV % _FQ for v in _vector.from_limbs(limbs.reshape(-1, 4))]
+    return list(zip(vals[0::2], vals[1::2]))
+
+
+def _g1_shift_limbs(nat, points: Sequence[tuple], shifts: int, step: int):
+    """``(n, shifts, 2, 4)`` limbs of ``2^(i*step) * P`` for every point."""
+    np = _vector.np
+    out = np.empty((len(points), shifts, 2, 4), dtype=np.uint64)
+    bases = _g1_limbs(nat, points)
+    _check(nat.g1_shifts(
+        nat.uptr(bases), len(points), shifts, step, nat.uptr(out)
+    ))
+    return out
+
+
+def _row_index(rows: Sequence, start: int = 0):
+    """Limb-array row of each entry: ``start``, ``start + 1``, ... for the
+    present ones in order, ``-1`` for a ``None``."""
+    idx, k = [], start
+    for row in rows:
+        idx.append(-1 if row is None else k)
+        k += row is not None
+    return _vector.np.array(idx, dtype=_vector.np.int64)
+
+
+def _scalar_limbs(folded: Sequence[int]):
+    """Folded scalars -> ``(n, 4)`` magnitude limbs and one sign byte each."""
+    np = _vector.np
+    mag = b"".join(abs(v).to_bytes(32, "little") for v in folded)
+    return (
+        np.frombuffer(mag, dtype="<u8").reshape(len(folded), 4),
+        np.frombuffer(bytes(v < 0 for v in folded), dtype=np.uint8),
+    )
+
+
+def _g1_msm(nat, tab, step, folded_rows, w, blinding=None) -> List[AffinePoint]:
+    """Every row's sum in one call of the C kernel: ``tab`` is a table's
+    ``(limbs, idx)`` (``None`` for no bases), ``folded_rows`` its folded
+    scalar rows at window ``w``; ``blinding = (table, scalars)`` adds
+    ``scalars[r]`` times a dense :class:`FixedBaseTable`'s point to row
+    ``r``.  Only the affine row sums come back as ints."""
+    np = _vector.np
+    rows = len(folded_rows)
+    cols = max(map(len, folded_rows), default=0)
+    mag, neg = _scalar_limbs([
+        v for row in folded_rows for v in chain(row, repeat(0, cols - len(row)))
+    ])
+    limbs, idx = tab if tab is not None else (None, np.empty(0, np.int64))
+    if cols > len(idx):
+        raise ValueError("more scalars than precomputed bases")
+    dense = dmag = dneg = None
+    dw = dwin = 0
+    if blinding is not None:
+        table, scalars = blinding
+        dense = table._limbs(nat)
+        dmag, dneg = _scalar_limbs([fold_scalar(b) for b in scalars])
+        dw, dwin = table.window, table.num_windows
+    out = np.empty((rows, 2, 4), dtype=np.uint64)
+    inf = np.empty(rows, dtype=np.uint8)
+    u, b = nat.uptr, nat.bptr
+    _check(nat.g1_fixed_msm(
+        None if limbs is None else u(limbs), nat.iptr(idx),
+        0 if limbs is None else limbs.shape[1], step,
+        u(mag), b(neg), rows, cols, w,
+        None if dense is None else u(dense), dw, dwin,
+        None if dmag is None else u(dmag), None if dneg is None else b(dneg),
+        _MIN_BATCH_PAIRS, u(out), b(inf),
+    ))
+    coords = _vector.from_limbs(out.reshape(-1, 4))
+    return [
+        None if inf[r] else (coords[2 * r], coords[2 * r + 1])
+        for r in range(rows)
+    ]
+
+
 def _table_windows(window: int) -> int:
     """Signed-digit windows of a folded scalar (at most 253 bits) plus its
     carry."""
@@ -135,16 +269,33 @@ class FixedBaseTable:
     non-zero digit, negated for a negative one; ``mul`` adds them up —
     nothing else.  Storage is ``ceil(254/w) * 2^(w-1)`` affine points: 816
     at the default w=5, 4,096 at w=8.
+
+    A G1 table built while the vector engine is active holds ``tables`` as
+    one ``(windows, 2^(w-1), 2, 4)`` array of Montgomery-form limbs, built
+    by the C kernels, and ``mul`` runs in C; every other table holds
+    affine tuples.
     """
 
     def __init__(self, point: AffinePoint, window: int = _TABLE_WINDOW):
         self.point = point
         self.window = window
         self.num_windows = _table_windows(window)
-        self.tables: List[List[tuple]] = []
+        self.tables = []
         if point is None:
             return
         self.ops = ops = group_of(point)
+        half = 1 << (window - 1)
+        nat = _g1_kernels(ops)
+        if nat is not None:
+            bases = _g1_shift_limbs(nat, [point], self.num_windows, window)
+            tables = _vector.np.empty(
+                (self.num_windows, half, 2, 4), dtype=_vector.np.uint64
+            )
+            _check(nat.g1_multiples(
+                nat.uptr(bases), self.num_windows, half, nat.uptr(tables)
+            ))
+            self.tables = tables
+            return
         double = ops.jac_double
         # The window bases 2^(i*w) * P from one doubling chain, then digit
         # d of every window at once: one batch-affine round per digit.
@@ -156,9 +307,17 @@ class FixedBaseTable:
             jacs.append(base)
         bases = ops.normalize_batch(jacs)
         columns = [bases]
-        for _d in range((1 << (window - 1)) - 1):
+        for _d in range(half - 1):
             columns.append(ops.pairwise_add(columns[-1], bases))
         self.tables = [list(row) for row in zip(*columns)]
+
+    def _limbs(self, nat):
+        """The table as limbs for the C kernel (a tuple table built under
+        the Python engine converts once, replacing its tuples)."""
+        if isinstance(self.tables, list):
+            flat = _g1_limbs(nat, [pt for row in self.tables for pt in row])
+            self.tables = flat.reshape(self.num_windows, -1, 2, 4)
+        return self.tables
 
     def lookups(self, scalar: int) -> List[tuple]:
         """The stored points that sum to ``scalar * P``: one per non-zero
@@ -167,16 +326,24 @@ class FixedBaseTable:
         scalar = fold_scalar(scalar)
         if scalar == 0 or self.point is None:
             return []
-        neg = self.ops.neg
-        digits = signed_digits(scalar, self.window, self.num_windows)
-        return [
-            row[d - 1] if d > 0 else neg(row[-d - 1])
-            for row, d in zip(self.tables, digits)
-            if d
+        tables = self.tables
+        digits = [
+            (i, d) for i, d in enumerate(
+                signed_digits(scalar, self.window, self.num_windows)
+            ) if d
         ]
+        points = [tables[i][abs(d) - 1] for i, d in digits]
+        if not isinstance(tables, list):
+            points = _g1_points(_vector.np.array(points))
+        neg = self.ops.neg
+        return [pt if d > 0 else neg(pt) for pt, (_, d) in zip(points, digits)]
 
     def mul(self, scalar: int) -> AffinePoint:
         """``scalar * P`` via table lookups (matches ``multiply``)."""
+        nat = None if self.point is None else _g1_kernels(self.ops)
+        if nat is not None:
+            # No bases, only the dense digits in the weight-1 bucket.
+            return _g1_msm(nat, None, 2, [[]], 2, (self, [scalar]))[0]
         points = self.lookups(scalar)
         if not points:
             return None
@@ -213,6 +380,16 @@ class FixedBaseMSM:
       windows' few buckets without a finer table.
 
     The window schedules the sum; it never changes it.
+
+    A G1 table runs each call in one call of the C kernel while the vector
+    engine is active (:func:`_g1_msm`): its rows are then one
+    ``(bases, shifts, 2, 4)`` array of Montgomery-form limbs plus a row
+    index per base (``-1`` for an absent one), and ``shifted`` lists views
+    into that array.  Under the Python engine ``shifted`` holds affine
+    tuples.  A table converts when a call finds the other engine active,
+    and :meth:`extend` replaces the array instead of growing it in place,
+    so a call running in C (which releases the GIL) keeps the array it
+    started with.
     """
 
     def __init__(
@@ -222,15 +399,71 @@ class FixedBaseMSM:
         self.step = _DEFAULT_STEP if window is None else window
         self.windows = _candidate_windows(self.step)
         self.num_windows = _num_windows(self.step)
-        self.shifted: List[Optional[List[tuple]]] = []
+        self.shifted: list = []
+        self._tab = None  # (limbs, idx) while the rows are limbs
+        self._lock = threading.Lock()
         if points:
             self.extend(points)
 
     def __len__(self) -> int:
         return len(self.shifted)
 
+    def _set_tab(self, limbs, idx) -> None:
+        self._tab = (limbs, idx)
+        self.shifted = [None if i < 0 else limbs[i] for i in idx.tolist()]
+
+    def _convert(self, nat) -> None:
+        """Bring the rows into the form of the engine ``nat`` says is
+        active (the caller holds the lock)."""
+        if (nat is not None) == (self._tab is not None):
+            return
+        if nat is None:
+            limbs, idx = self._tab
+            flat = _g1_points(limbs)
+            nw = self.num_windows
+            self.shifted = [
+                None if i < 0 else flat[i * nw:(i + 1) * nw]
+                for i in idx.tolist()
+            ]
+            self._tab = None
+            return
+        rows = [row for row in self.shifted if row is not None]
+        limbs = _g1_limbs(nat, [pt for row in rows for pt in row])
+        self._set_tab(
+            limbs.reshape(len(rows), self.num_windows, 2, 4),
+            _row_index(self.shifted),
+        )
+
+    def _engine(self):
+        """``(kernels, (limbs, idx))`` when this call runs in C, else
+        ``(None, None)``, with the rows in that engine's form."""
+        nat = _g1_kernels(self.ops)
+        tab = self._tab
+        if (nat is not None) != (tab is not None):
+            with self._lock:
+                self._convert(nat)
+                tab = self._tab
+        return nat, tab
+
     def extend(self, points: Sequence[AffinePoint]) -> None:
         """Append precomputed rows for ``points``."""
+        nat = _g1_kernels(self.ops)
+        with self._lock:
+            self._convert(nat)
+            if nat is not None:
+                np = _vector.np
+                live = [pt for pt in points if pt is not None]
+                limbs, idx = self._tab
+                self._set_tab(
+                    np.concatenate([limbs, _g1_shift_limbs(
+                        nat, live, self.num_windows, self.step
+                    )]),
+                    np.concatenate([idx, _row_index(points, len(limbs))]),
+                )
+                return
+            self._extend_tuples(points)
+
+    def _extend_tuples(self, points: Sequence[AffinePoint]) -> None:
         ops = self.ops
         double = ops.jac_double
         jacs: List[tuple] = []
@@ -358,6 +591,9 @@ class FixedBaseMSM:
         """``sum_j scalars[j] * P_j`` (scalars may be a prefix)."""
         folded = self._fold([scalars])
         w = self._window_for(folded, _AGG_WEIGHT_ONE)
+        nat, tab = self._engine()
+        if nat is not None:
+            return _g1_msm(nat, tab, self.step, folded, w)[0]
         half = 1 << (w - 1)
         buckets, spaces = self._buckets(folded, w)
         ops = self.ops
@@ -380,22 +616,30 @@ class FixedBaseMSM:
     def msm_many(
         self,
         scalar_rows: Sequence[Sequence[int]],
-        extra: Optional[Sequence[Sequence[tuple]]] = None,
+        blinding: Optional[Tuple[FixedBaseTable, Sequence[int]]] = None,
     ) -> List[AffinePoint]:
         """Many MSMs over the same bases — every row's buckets (each of its
         bucket spaces) reduce in one batch-affine call and aggregate in one
-        lockstep sweep, so the inversion cost is shared across the whole
-        matrix (this is the Hyrax row-commitment hot path).  One window
-        serves the whole matrix.
+        sweep, so the inversion cost is shared across the whole matrix
+        (this is the Hyrax row-commitment hot path).  One window serves
+        the whole matrix.
 
-        ``extra[r]``, if given, is a list of decoded affine points of the
-        table's group (:meth:`FixedBaseTable.lookups`) added to row ``r``'s
-        sum: they join the row's weight-1 bucket, so they share the
-        reduction's inversions and stay out of the window estimate."""
-        if extra is not None and len(extra) != len(scalar_rows):
-            raise ValueError("one list of extra points per row")
+        ``blinding = (table, scalars)``, if given, adds ``scalars[r]``
+        times the point of the dense :class:`FixedBaseTable` ``table`` to
+        row ``r``: the points of its digits (:meth:`FixedBaseTable.lookups`)
+        join the row's weight-1 bucket, so they share the reduction's
+        inversions and stay out of the window estimate."""
+        if blinding is not None and len(blinding[1]) != len(scalar_rows):
+            raise ValueError("one blinding scalar per row")
         folded = self._fold(scalar_rows)
         w = self._window_for(folded, _AGG_WEIGHT_MANY)
+        nat, tab = self._engine()
+        if nat is not None:
+            return _g1_msm(nat, tab, self.step, folded, w, blinding)
+        extra = None
+        if blinding is not None:
+            table, scalars = blinding
+            extra = [table.lookups(b) for b in scalars]
         half = 1 << (w - 1)
         buckets, spaces = self._buckets(folded, w, extra)
         sums = batch_affine_weighted_bucket_sums(

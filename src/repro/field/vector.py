@@ -193,10 +193,9 @@ def vec_mul_prepared(a: "np.ndarray", prep: "np.ndarray") -> "np.ndarray":
 
 
 def vec_mul(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """Elementwise ``(a * b) mod p`` over canonical limb arrays."""
-    # Scale b into Montgomery form with one extra pass (b * R^2 / R).
-    b_mont = _lanes("vec_mul_scalar", b, to_limbs([R256 * R256 % P]))
-    return _lanes("vec_mul", a, b_mont)
+    """Elementwise ``(a * b) mod p`` over canonical limb arrays, in one C
+    pass (the Montgomery product, then one multiply by ``R^2``)."""
+    return _lanes("vec_mul_canon", a, b)
 
 
 def vec_mul_scalar(a: "np.ndarray", s: int) -> "np.ndarray":

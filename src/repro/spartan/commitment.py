@@ -209,13 +209,12 @@ class HyraxProver:
         # All rows share the canonical generators, so the whole matrix
         # commits through the one Pedersen table in one batched pass: each
         # row is the MSM of ``[0] + row`` over ``[H, G_0, ...]`` plus its
-        # blinder's lookups in H's table, and every bucket insertion and
-        # aggregation addition across all rows shares batched inversions.
+        # blinder's digits in H's table, and every bucket insertion across
+        # all rows shares batched inversions.
         table = pedersen_table(1 << self.col_vars)
-        lookups = blinder_table().lookups
         commits = table.msm_many(
             [[0, *row] for row in self.rows],
-            extra=[lookups(b) for b in self.blinders],
+            blinding=(blinder_table(), self.blinders),
         )
         return HyraxCommitment(
             row_commits=commits,

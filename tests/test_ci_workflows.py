@@ -155,12 +155,15 @@ def test_ci_runs_e2e_benchmark_tests():
 
 
 def test_ci_requires_native_field_engine_before_tier1():
-    """The engine-parametrised field tests skip without the native
-    kernels; the main job must fail instead of running them as skips."""
+    """The engine-parametrised field tests and the G1 MSM kernel tests
+    skip without the native kernels; the main job must fail instead of
+    running them as skips."""
     ci = _load(os.path.join(WORKFLOW_DIR, "ci.yml"))
     names = [step.get("name", "") for step in ci["jobs"]["test"]["steps"]]
     check = names.index("Native field engine compiles")
     assert check < names.index("Tier-1 tests")
     step = ci["jobs"]["test"]["steps"][check]
     assert "vector.active_impl() == 'native'" in step["run"]
+    # The G1 fixed-base MSM kernel loaded too: a G1 table is limb-resident.
+    assert "FixedBaseMSM([(1, 2)])._tab is not None" in step["run"]
     assert step["env"]["PYTHONPATH"] == "src"

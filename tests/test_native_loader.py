@@ -3,8 +3,9 @@ replaced, not trusted.
 
 The compiled kernels are cached at one shared path per source digest and
 uid.  A library there that loads without the kernels (for example one
-compiled from a truncated source) or that is not a library at all must be
-rebuilt, or every later process would fall back to the scalar backend.
+compiled from a truncated source, or one that has every Fr kernel but not
+the G1 ones) or that is not a library at all must be rebuilt, or every
+later process would fall back to the scalar backend.
 Within one process, every caller of the first load gets the kernels.
 """
 
@@ -48,12 +49,27 @@ def _plant_symbol_less(lib_path, tmp_path):
     )
 
 
+def _plant_without_g1(lib_path, tmp_path):
+    """The Fr kernels alone: they pass their own checks, but the G1 MSM
+    kernel is missing."""
+    src = tmp_path / "fr_only.c"
+    src.write_text(_native._SOURCE.split("/* ---- BN254 Fq and G1")[0])
+    subprocess.run(
+        [_native._compiler(), "-O2", "-shared", "-fPIC", "-o", lib_path,
+         str(src)],
+        check=True,
+        capture_output=True,
+    )
+
+
 def _plant_garbage(lib_path, tmp_path):
     with open(lib_path, "wb") as fh:
         fh.write(b"not a shared library")
 
 
-@pytest.mark.parametrize("plant", [_plant_symbol_less, _plant_garbage])
+@pytest.mark.parametrize(
+    "plant", [_plant_symbol_less, _plant_without_g1, _plant_garbage]
+)
 def test_bad_cached_library_is_rebuilt(cache_dir, tmp_path, plant):
     lib_path = os.path.join(cache_dir, "fr.so")
     plant(lib_path, tmp_path)
