@@ -2,10 +2,14 @@
 
 Times the dominant prover kernels on this machine:
 
-* **MSM** over G1 for sizes 2^8..2^14 — the new batch-affine Pippenger and
-  a warm fixed-base table, plus (at small sizes) the pre-PR-style Jacobian
-  Pippenger for reference — and at 2 and 8 points, the Straus path
-  against that Jacobian Pippenger (timed in quick runs too);
+* **MSM** over G1 for sizes 2^8..2^14 — the generic ``msm`` (one C call
+  under the vector engine, batch-affine Pippenger on the Python group
+  ops otherwise) and a warm fixed-base table, plus (at small sizes) the
+  Python Jacobian Pippenger for reference — and at 2 and 8 points, the
+  small-input ``msm`` against that Jacobian Pippenger; and at the
+  ``hyrax_verify`` shape (``"64-hyrax_verify"``: 64 distinct points,
+  full-width scalars), the active engine against the Python group ops
+  (the last three timed in quick runs too);
 * **field** for sizes 2^8..2^12 — the scalar big-int loops versus the
   vector engine (``repro.field.vector``) on the same inputs: elementwise
   mulmod/addmod, batched inversion, ``ntt_many``, and the FlatR1CS CSR
@@ -129,6 +133,9 @@ HYRAX_INT8_SIZE = 1 << 11  # a dense int8 vector the size of that matrix
 HYRAX_OPENING_SIZE = 32  # the opening row t of that matrix
 # A single-row commit takes ~10 ms: time the best of this many per repeat.
 HYRAX_OPENING_REPEATS = 20
+# The verifier's hyrax_verify MSM: the 64 row commitments of that matrix
+# against full-width eq weights.
+HYRAX_VERIFY_POINTS = 64
 NTT_SIZES = [1 << k for k in range(8, 15)]        # 2^8 .. 2^14
 QUOTIENT_SIZES = [1 << 8, 1 << 9, 1 << 10]        # Groth16 domain sizes
 G2_MSM_SIZES = [16, 32, 64]                      # Groth16 B-query sizes
@@ -180,8 +187,9 @@ def bench_msm(sizes=MSM_SIZES, repeats: int = 1) -> Dict[str, Dict[str, float]]:
 def bench_msm_small(
     sizes=STRAUS_SIZES, repeats: int = 1
 ) -> Dict[str, Dict[str, float]]:
-    """Points/sec of the Straus path ``msm`` runs below 16 points, against
-    the Jacobian Pippenger it replaced."""
+    """Points/sec of ``msm`` below 16 points (one C call under the vector
+    engine, the Straus path on the Python group ops), against the
+    Jacobian Pippenger."""
     rng = random.Random(0x57A)
     n_runs = SMALL_KERNEL_REPEATS * repeats
     out: Dict[str, Dict[str, float]] = {}
@@ -195,6 +203,29 @@ def bench_msm_small(
             ),
         }
     return out
+
+
+def bench_msm_hyrax_verify(repeats: int = 1) -> Dict[str, Dict[str, float]]:
+    """Points/sec of ``msm`` at the ``hyrax_verify`` shape on the active
+    engine (the C kernel under the vector engine), against the same call
+    on the Python group ops."""
+    rng = random.Random(0x4E7)
+    n = HYRAX_VERIFY_POINTS
+    n_runs = SMALL_KERNEL_REPEATS * repeats
+    pts = _rand_points(n, rng)
+    scs = [rng.randrange(CURVE_ORDER) for _ in range(n)]
+    fast = _timed(lambda: msm(pts, scs), n_runs)
+    vector.set_backend("scalar")
+    try:
+        naive = _timed(lambda: msm(pts, scs), n_runs)
+    finally:
+        vector.set_backend(None)  # back to the env-resolved backend
+    return {
+        f"{n}-hyrax_verify": {
+            "fast_ops_per_sec": n / fast,
+            "naive_ops_per_sec": n / naive,
+        }
+    }
 
 
 def bench_sumcheck(
@@ -660,6 +691,7 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
         "msm": {
             **bench_msm(msm_sizes, repeats),
             **bench_msm_small(repeats=repeats),
+            **bench_msm_hyrax_verify(repeats),
         },
         "field": bench_field(field_sizes, repeats),
         "sumcheck": bench_sumcheck(sc_sizes, repeats),

@@ -57,8 +57,9 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # fixed-base) through the same ``fast``/``fixed_base`` metrics.
 # The groth16_blind section gates the dense generator-table muls of the
 # trusted setup (G1 and G2) and the prover's 2-point pi_C MSM, and the msm
-# section's ``"2"``/``"8"`` entries the Straus small-MSM path; quick runs
-# time all of them.  The groth16_query section gates the prover's warm
+# section's ``"2"``/``"8"`` entries the small-input ``msm`` and its
+# ``"64-hyrax_verify"`` entry the verifier's Hyrax row-commit MSM (all
+# three one C call under the vector engine); quick runs time all of them.  The groth16_query section gates the prover's warm
 # step-8 query tables (G1 and G2) on the groth16_crpc A-side shape, where
 # each call picks a window dividing the step, and (``"255-g1-h"``) the C
 # G1 fixed-base kernel on the groth16_vanilla H query shape.

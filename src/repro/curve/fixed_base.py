@@ -21,8 +21,10 @@ multiples of each base turns those MSMs into pure table lookups:
   given: a multiple of the stored step (every few stored shifts), or a
   divisor of it (a few bucket spaces, combined with doublings).
 * :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
-  the first sighting of a base vector uses the generic Pippenger MSM, the
-  second builds tables.  One-shot callers never pay the precompute.
+  the first sighting of a base vector uses the generic
+  :func:`~repro.curve.msm.msm` (itself one C call for G1 under the vector
+  engine), the second builds tables.  One-shot callers never pay the
+  precompute.
 
 Two engines run the tables, and :func:`repro.field.vector.active_impl`
 picks one per call, the same rule as for the field kernels:
@@ -30,7 +32,8 @@ picks one per call, the same rule as for the field kernels:
 * **C**, for G1 while the vector engine is active: a table is one array
   of Montgomery-form Fq limbs, built by the kernels of
   :mod:`repro.field._native` from the batch-normalised shifts, and a call
-  is one C call (:func:`_g1_msm`) that recodes the folded scalars,
+  is one C call (:func:`repro.curve.msm._g1_msm`, the glue this module
+  shares with the variable-base ``msm``) that recodes the folded scalars,
   fills the buckets straight from the table, reduces them as trees with
   one batched inversion per round, aggregates them and returns only the
   affine row sums as ints (PERF.md "Native G1 fixed-base MSM");
@@ -47,10 +50,8 @@ engine active converts it first.
 from __future__ import annotations
 
 import threading
-from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..field import _native
 from ..field import vector as _vector
 from ..field.prime_field import BN254_FQ_MODULUS as _FQ
 from .bn254 import (
@@ -63,7 +64,14 @@ from .bn254 import (
     group_of,
 )
 from .msm import msm as _generic_msm
-from .msm import fold_scalar, signed_digits
+from .msm import (
+    _check,
+    _g1_kernels,
+    _g1_limbs,
+    _g1_msm,
+    fold_scalar,
+    signed_digits,
+)
 
 _SCALAR_BITS = CURVE_ORDER.bit_length()
 
@@ -140,41 +148,8 @@ def _window_costs(
     }
 
 
-# A bucket-tree round of the C kernel with fewer pairs than this leaves
-# its buckets to the Jacobian aggregation: the round's one batched
-# inversion (~350 multiplies) must be shared by enough affine additions
-# (6 multiplies each, against 11 for a mixed Jacobian one).
-_MIN_BATCH_PAIRS = 64
-
 # 2^-256 mod q: Montgomery-form limbs back to canonical coordinates.
 _MONT_INV = pow(2, -256, _FQ)
-
-
-def _g1_kernels(ops):
-    """The compiled kernels when a call on a table of group ``ops`` runs in
-    C: a G1 table while the vector engine is active.  Everything else runs
-    the Python group ops, which stay the oracle."""
-    if ops is G1_OPS and _vector.active_impl() is not None:
-        return _native.load()
-    return None
-
-
-def _check(rc: int) -> None:
-    if rc == -1:
-        raise MemoryError("G1 kernel out of memory")
-    if rc:
-        raise ValueError("window out of range or digits beyond the table")
-
-
-def _g1_limbs(nat, points: Sequence[tuple]):
-    """Affine G1 int tuples -> ``(n, 2, 4)`` Montgomery-form limbs."""
-    np = _vector.np
-    buf = b"".join(
-        x.to_bytes(32, "little") + y.to_bytes(32, "little") for x, y in points
-    )
-    arr = np.frombuffer(buf, dtype="<u8").reshape(len(points), 2, 4).copy()
-    nat.fq_to_mont(nat.uptr(arr), nat.uptr(arr), 2 * len(points))
-    return arr
 
 
 def _g1_points(limbs) -> List[tuple]:
@@ -202,56 +177,6 @@ def _row_index(rows: Sequence, start: int = 0):
         idx.append(-1 if row is None else k)
         k += row is not None
     return _vector.np.array(idx, dtype=_vector.np.int64)
-
-
-def _scalar_limbs(folded: Sequence[int]):
-    """Folded scalars -> ``(n, 4)`` magnitude limbs and one sign byte each."""
-    np = _vector.np
-    mag = b"".join(abs(v).to_bytes(32, "little") for v in folded)
-    return (
-        np.frombuffer(mag, dtype="<u8").reshape(len(folded), 4),
-        np.frombuffer(bytes(v < 0 for v in folded), dtype=np.uint8),
-    )
-
-
-def _g1_msm(nat, tab, step, folded_rows, w, blinding=None) -> List[AffinePoint]:
-    """Every row's sum in one call of the C kernel: ``tab`` is a table's
-    ``(limbs, idx)`` (``None`` for no bases), ``folded_rows`` its folded
-    scalar rows at window ``w``; ``blinding = (table, scalars)`` adds
-    ``scalars[r]`` times a dense :class:`FixedBaseTable`'s point to row
-    ``r``.  Only the affine row sums come back as ints."""
-    np = _vector.np
-    rows = len(folded_rows)
-    cols = max(map(len, folded_rows), default=0)
-    mag, neg = _scalar_limbs([
-        v for row in folded_rows for v in chain(row, repeat(0, cols - len(row)))
-    ])
-    limbs, idx = tab if tab is not None else (None, np.empty(0, np.int64))
-    if cols > len(idx):
-        raise ValueError("more scalars than precomputed bases")
-    dense = dmag = dneg = None
-    dw = dwin = 0
-    if blinding is not None:
-        table, scalars = blinding
-        dense = table._limbs(nat)
-        dmag, dneg = _scalar_limbs([fold_scalar(b) for b in scalars])
-        dw, dwin = table.window, table.num_windows
-    out = np.empty((rows, 2, 4), dtype=np.uint64)
-    inf = np.empty(rows, dtype=np.uint8)
-    u, b = nat.uptr, nat.bptr
-    _check(nat.g1_fixed_msm(
-        None if limbs is None else u(limbs), nat.iptr(idx),
-        0 if limbs is None else limbs.shape[1], step,
-        u(mag), b(neg), rows, cols, w,
-        None if dense is None else u(dense), dw, dwin,
-        None if dmag is None else u(dmag), None if dneg is None else b(dneg),
-        _MIN_BATCH_PAIRS, u(out), b(inf),
-    ))
-    coords = _vector.from_limbs(out.reshape(-1, 4))
-    return [
-        None if inf[r] else (coords[2 * r], coords[2 * r + 1])
-        for r in range(rows)
-    ]
 
 
 def _table_windows(window: int) -> int:

@@ -26,13 +26,29 @@ Only the windows the largest folded scalar reaches are processed.
 Both groups share the code: the group comes from the points (see
 :class:`~repro.curve.bn254.GroupOps`).  G2 points are converted to int
 tuples once on the way in and the result back on the way out.
+
+While the vector engine is active (:func:`repro.field.vector.active_impl`)
+a G1 ``msm`` skips both: its live points become one array of
+Montgomery-form Fq limbs and the whole MSM is one call of the C kernel
+``g1_fixed_msm`` of :mod:`repro.field._native` (:func:`_g1_variable_msm`),
+plain variable-base Pippenger whose buckets reduce as trees sharing one
+batched inversion per round, the approach of the ZPrize 2022 MSM entries
+and gnark-crypto (PERF.md "Native G1 variable-base MSM").  G2, the scalar
+engine and hosts without a C compiler run the Python paths above, which
+stay the oracle.  The G1 glue of that kernel lives here too
+(:func:`_g1_msm`); :mod:`repro.curve.fixed_base` runs its tables through
+it.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import List, Optional, Sequence
 
+from ..field import _native
+from ..field import vector as _vector
 from .bn254 import (
+    G1_OPS,
     AffinePoint,
     CURVE_ORDER,
     batch_affine_reduce,
@@ -126,11 +142,134 @@ def fold_scalar(scalar: int) -> int:
     return scalar - CURVE_ORDER if scalar > _HALF_ORDER else scalar
 
 
+# A bucket-tree round of the C kernel with fewer pairs than this leaves
+# its buckets to the Jacobian aggregation: the round's one batched
+# inversion (~350 multiplies) must be shared by enough affine additions
+# (6 multiplies each, against 11 for a mixed Jacobian one).
+_MIN_BATCH_PAIRS = 64
+
+
+def _g1_kernels(ops):
+    """The compiled kernels when an MSM over group ``ops`` runs in C: G1
+    while the vector engine is active.  Everything else runs the Python
+    group ops, which stay the oracle."""
+    if ops is G1_OPS and _vector.active_impl() is not None:
+        return _native.load()
+    return None
+
+
+def _check(rc: int) -> None:
+    if rc == -1:
+        raise MemoryError("G1 kernel out of memory")
+    if rc:
+        raise ValueError("window out of range or digits beyond the table")
+
+
+def _g1_limbs(nat, points: Sequence[tuple]):
+    """Affine G1 int tuples -> ``(n, 2, 4)`` Montgomery-form limbs."""
+    np = _vector.np
+    buf = b"".join(
+        x.to_bytes(32, "little") + y.to_bytes(32, "little") for x, y in points
+    )
+    arr = np.frombuffer(buf, dtype="<u8").reshape(len(points), 2, 4).copy()
+    nat.fq_to_mont(nat.uptr(arr), nat.uptr(arr), 2 * len(points))
+    return arr
+
+
+def _scalar_limbs(folded: Sequence[int]):
+    """Folded scalars -> ``(n, 4)`` magnitude limbs and one sign byte each."""
+    np = _vector.np
+    mag = b"".join(abs(v).to_bytes(32, "little") for v in folded)
+    return (
+        np.frombuffer(mag, dtype="<u8").reshape(len(folded), 4),
+        np.frombuffer(bytes(v < 0 for v in folded), dtype=np.uint8),
+    )
+
+
+def _g1_msm(nat, tab, step, folded_rows, w, blinding=None) -> List[AffinePoint]:
+    """Every row's sum in one call of the C kernel: ``tab`` is a table's
+    ``(limbs, idx)`` (``None`` for no bases) with ``limbs`` of shape
+    ``(n, shifts, 2, 4)`` holding ``2^(i*step)`` times each base,
+    ``folded_rows`` its folded scalar rows at window ``w``; ``blinding =
+    (table, scalars)`` adds ``scalars[r]`` times a dense
+    :class:`~repro.curve.fixed_base.FixedBaseTable`'s point to row ``r``.
+    Only the affine row sums come back as ints."""
+    np = _vector.np
+    rows = len(folded_rows)
+    cols = max(map(len, folded_rows), default=0)
+    mag, neg = _scalar_limbs([
+        v for row in folded_rows for v in chain(row, repeat(0, cols - len(row)))
+    ])
+    limbs, idx = tab if tab is not None else (None, np.empty(0, np.int64))
+    if cols > len(idx):
+        raise ValueError("more scalars than precomputed bases")
+    dense = dmag = dneg = None
+    dw = dwin = 0
+    if blinding is not None:
+        table, scalars = blinding
+        dense = table._limbs(nat)
+        dmag, dneg = _scalar_limbs([fold_scalar(b) for b in scalars])
+        dw, dwin = table.window, table.num_windows
+    out = np.empty((rows, 2, 4), dtype=np.uint64)
+    inf = np.empty(rows, dtype=np.uint8)
+    u, b = nat.uptr, nat.bptr
+    _check(nat.g1_fixed_msm(
+        None if limbs is None else u(limbs), nat.iptr(idx),
+        0 if limbs is None else limbs.shape[1], step,
+        u(mag), b(neg), rows, cols, w,
+        None if dense is None else u(dense), dw, dwin,
+        None if dmag is None else u(dmag), None if dneg is None else b(dneg),
+        _MIN_BATCH_PAIRS, u(out), b(inf),
+    ))
+    coords = _vector.from_limbs(out.reshape(-1, 4))
+    return [
+        None if inf[r] else (coords[2 * r], coords[2 * r + 1])
+        for r in range(rows)
+    ]
+
+
+def _native_window(n: int) -> int:
+    """Window of a C variable-base MSM over ``n`` live points, from a
+    measured sweep (PERF.md "Native G1 variable-base MSM").  C additions
+    are cheap next to the Python ones :func:`_signed_window_size` prices,
+    so small inputs want fewer buckets."""
+    if n < 4:
+        return 2
+    if n < 16:
+        return 3
+    if n < 96:
+        return 4
+    if n < 256:
+        return 5
+    if n < 512:
+        return 6
+    if n < 2048:
+        return 7
+    return 8
+
+
+def _g1_variable_msm(nat, pts: List[tuple], scs: List[int]) -> AffinePoint:
+    """Plain variable-base Pippenger in one C call.
+
+    The live points go in once as an ``(n, 1, 2, 4)`` limb table (one
+    stored shift each) at stored step ``w * windows``: the kernel's
+    window-divides-step mode then gives every window its own bucket space
+    on the points themselves, and combines the spaces with ``w`` doublings
+    each.  Only the affine sum comes back."""
+    w = _native_window(len(pts))
+    windows = (max(abs(sc) for sc in scs).bit_length() + w) // w
+    limbs = _g1_limbs(nat, pts).reshape(len(pts), 1, 2, 4)
+    idx = _vector.np.arange(len(pts), dtype=_vector.np.int64)
+    return _g1_msm(nat, (limbs, idx), w * windows, [scs], w)[0]
+
+
 def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
     """``sum_i scalars[i] * points[i]`` over G1 or G2.
 
     ``None`` points and zero scalars are skipped.  Scalars are reduced mod
     the curve order and folded into ``(-r/2, r/2]`` (:func:`fold_scalar`).
+    A G1 MSM runs in C while the vector engine is active
+    (:func:`_g1_variable_msm`).
     """
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have equal length")
@@ -145,6 +284,9 @@ def msm(points: Sequence[AffinePoint], scalars: Sequence[int]) -> AffinePoint:
     if not pts:
         return None
     ops = group_of(pts[0])
+    nat = _g1_kernels(ops)
+    if nat is not None:
+        return _g1_variable_msm(nat, pts, scs)
     decode = ops.decode
     pts = [decode(pt) for pt in pts]
     if len(pts) >= _BATCH_AFFINE_MSM_THRESHOLD:

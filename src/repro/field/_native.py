@@ -801,10 +801,19 @@ def _g1_self_test(native: "NativeFr") -> bool:
     """Rows ``[1, 1] + 5H``, ``[3, -3]`` and ``[2, 0] - H`` over the bases
     ``[G, G]`` (H = G on a w=2 dense table): a doubling pair, cancelling
     pairs and a negated blinder, through the batch-affine tree and through
-    the Jacobian aggregation alone."""
+    the Jacobian aggregation alone.  Then the variable-base form: rows
+    ``[27, -3]``, ``[1, 1]`` and ``[5, -5]`` over one stored shift of
+    ``[G, G]`` at step ``w * 3``, three bucket spaces of w=2 (27 recodes
+    to the digits -1, -1, 2)."""
     import numpy as np
 
     u, g = native.uptr, (1, 2)
+
+    def times(k):
+        acc = None
+        for _ in range(k):
+            acc = _affine_add(acc, g)
+        return acc
 
     def mont(points):
         arr = _limbs([c for pt in points for c in pt]).reshape(-1, 8)
@@ -825,24 +834,30 @@ def _g1_self_test(native: "NativeFr") -> bool:
     neg = np.array([0, 0, 0, 1, 0, 0], dtype=np.uint8)
     dmag = _limbs([5, 0, 1])
     dneg = np.array([0, 0, 1], dtype=np.uint8)
-    seven = None
-    for _ in range(7):
-        seven = _affine_add(seven, g)
-    want = [seven, None, g]
-    for min_batch in (1, 64):
+    one = mont([g, g])
+    vmag = _limbs([27, 3, 1, 1, 5, 5])
+    vneg = np.array([0, 1, 0, 0, 0, 1], dtype=np.uint8)
+
+    def rows(min_batch, tb, shifts, step, m, ng, blind):
         out = np.empty((3, 8), dtype=np.uint64)
         inf = np.empty(3, dtype=np.uint8)
         rc = native.g1_fixed_msm(
-            u(tab), native.iptr(idx), 3, 2, u(mag), native.bptr(neg), 3, 2,
-            2, u(dense), 2, 2, u(dmag), native.bptr(dneg), min_batch,
-            u(out), native.bptr(inf),
+            u(tb), native.iptr(idx), shifts, step, u(m), native.bptr(ng),
+            3, 2, 2, *blind, min_batch, u(out), native.bptr(inf),
         )
         coords = _ints(out)
-        got = [
+        return rc == 0 and [
             None if inf[r] else (coords[2 * r], coords[2 * r + 1])
             for r in range(3)
         ]
-        if rc or got != want:
+
+    blinded = (u(dense), 2, 2, u(dmag), native.bptr(dneg))
+    for min_batch in (1, 64):
+        if rows(min_batch, tab, 3, 2, mag, neg, blinded) != [times(7), None, g]:
+            return False
+        if rows(min_batch, one, 1, 6, vmag, vneg, (None, 0, 0, None, None)) != [
+            times(24), times(2), None
+        ]:
             return False
     return True
 

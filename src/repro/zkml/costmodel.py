@@ -80,16 +80,16 @@ def measure_rates() -> PrimitiveRates:
 
     pts = [multiply(g1, i + 2) for i in range(64)]
     scs = [(sc * (i + 1)) % R for i in range(64)]
-    g1_msm = _best_of(lambda: msm(pts, scs)) / 64
 
-    # Priced on the Python group ops, like every other rate here (the
-    # baselines' generic MSM, G2, the pairing), so the model compares
-    # circuits at one arithmetic speed: under the vector engine a warm G1
-    # table runs in C, ~15x faster per point, a speed no baseline's rate
-    # here has.
+    # Both G1 MSM rates are priced on the Python group ops, like every
+    # other rate here (G2, the pairing), so the model compares circuits at
+    # one arithmetic speed: under the vector engine every G1 MSM runs in
+    # C, ~10x (generic) to ~15x (warm table) faster per point, a speed no
+    # other rate here has.
     engine = vector.get_backend()
     vector.set_backend("scalar")
     try:
+        g1_msm = _best_of(lambda: msm(pts, scs)) / 64
         fb = FixedBaseMSM(pts)  # build excluded: it amortises across proofs
         g1_fixed_msm = _best_of(lambda: fb.msm(scs)) / 64
     finally:

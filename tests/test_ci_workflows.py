@@ -166,4 +166,7 @@ def test_ci_requires_native_field_engine_before_tier1():
     assert "vector.active_impl() == 'native'" in step["run"]
     # The G1 fixed-base MSM kernel loaded too: a G1 table is limb-resident.
     assert "FixedBaseMSM([(1, 2)])._tab is not None" in step["run"]
+    # A 2-point G1 msm runs in C and equals the scalar engine's result.
+    assert "m._g1_kernels(m.G1_OPS) is not None" in step["run"]
+    assert "vector.set_backend('scalar'); assert got == m.msm(pts, scs)" in step["run"]
     assert step["env"]["PYTHONPATH"] == "src"

@@ -105,11 +105,14 @@ class TestStrausMsm:
 
 
 def test_small_msm_takes_straus_path(monkeypatch):
+    """The Python dispatch, the one a G1 ``msm`` takes without the C
+    kernel (the scalar engine)."""
     calls = []
     real = msm_mod._msm_straus
     monkeypatch.setattr(
         msm_mod, "_msm_straus", lambda p, s: calls.append(len(p)) or real(p, s)
     )
+    monkeypatch.setattr(msm_mod, "_g1_kernels", lambda ops: None)
     pool = POOLS["g1"]
     for n in (1, 2, 15, 16):
         pts, scs = _uniform_case(pool, n)

@@ -1,4 +1,4 @@
-"""The C G1 fixed-base MSM kernel against the Python group ops.
+"""The C G1 MSM kernel against the Python group ops.
 
 While the vector engine is active a G1 ``FixedBaseMSM`` or
 ``FixedBaseTable`` holds Montgomery-form limbs and runs every call in one
@@ -20,9 +20,16 @@ table over the same bases driven by the Python engine, and the sum of
 * a table switching engines between calls, a C table holding no tuples,
   and a Pedersen-style table extended by one thread while another
   commits: the limb array is replaced, never resized under a running
-  call.
+  call;
+* the variable-base ``msm`` (one C call on a one-shift table, a bucket
+  space per window) on 1 to 1024 points at every window its rule picks,
+  against the scalar-engine ``msm`` and the ``multiply`` sum: ``None``
+  points, zero scalars, scalars at or above r, folded negatives, ``P +
+  P``, ``P - P`` and an all-cancelling input; G2 and the scalar engine
+  stay on the Python paths.
 """
 
+import importlib
 import random
 import sys
 import threading
@@ -31,9 +38,20 @@ from functools import lru_cache
 import pytest
 
 from repro.curve import fixed_base
-from repro.curve.bn254 import CURVE_ORDER, add, g1_generator, multiply
+from repro.curve.bn254 import (
+    CURVE_ORDER,
+    add,
+    g1_generator,
+    g2_generator,
+    multiply,
+    neg,
+)
 from repro.curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from repro.field import vector
+
+# The package attribute ``repro.curve.msm`` is the function.
+msm_mod = importlib.import_module("repro.curve.msm")
+msm = msm_mod.msm
 
 pytestmark = pytest.mark.skipif(
     vector.active_impl() is None, reason="no native field engine"
@@ -57,11 +75,11 @@ def _restore_backend():
     vector._state.update(state)
 
 
-@pytest.fixture(params=[1, fixed_base._MIN_BATCH_PAIRS], ids=["tree", "jacobian"])
+@pytest.fixture(params=[1, msm_mod._MIN_BATCH_PAIRS], ids=["tree", "jacobian"])
 def min_batch(request, monkeypatch):
     """Run the bucket tree from one pair up, or (on these small cases)
     leave every bucket to the Jacobian aggregation."""
-    monkeypatch.setattr(fixed_base, "_MIN_BATCH_PAIRS", request.param)
+    monkeypatch.setattr(msm_mod, "_MIN_BATCH_PAIRS", request.param)
     return request.param
 
 
@@ -277,3 +295,124 @@ def test_extend_while_committing_replaces_the_array(monkeypatch):
     assert table.msm(rows[0] + [0] * 19 + [5]) == add(
         _naive(gens, rows[0]), multiply(gens[23], 5)
     )
+
+
+# --- variable-base msm ------------------------------------------------------
+
+RULE_WINDOWS = sorted({msm_mod._native_window(n) for n in range(1, 1 << 13)})
+SIZES = [1, 2, 15, 16, 17, 64, 1024]
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """Count the ``msm`` calls that run in C."""
+    calls = []
+    real = msm_mod._g1_variable_msm
+
+    def spy(nat, pts, scs):
+        calls.append(len(pts))
+        return real(nat, pts, scs)
+
+    monkeypatch.setattr(msm_mod, "_g1_variable_msm", spy)
+    return calls
+
+
+def _force_native_window(monkeypatch, w):
+    monkeypatch.setattr(msm_mod, "_native_window", lambda n: w)
+
+
+@lru_cache(maxsize=None)
+def _variable_case(n):
+    """``n`` distinct points, full-width scalars and both oracles."""
+    rng = random.Random(n)
+    pts, acc = [], _H
+    for i in range(n):
+        acc = add(acc, _POOL[i % len(_POOL)])
+        pts.append(acc)
+    scs = [rng.randrange(R) for _ in range(n)]
+    return pts, scs, _naive(pts, scs), _python(lambda: msm(pts, scs))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("w", RULE_WINDOWS)
+def test_variable_msm_matches_python_and_naive(n, w, monkeypatch,
+                                               native_calls):
+    _force_native_window(monkeypatch, w)
+    pts, scs, want, python = _variable_case(n)
+    assert python == want
+    assert msm(pts, scs) == want
+    assert native_calls == [n]
+
+
+def test_window_rule_covers_every_size():
+    assert RULE_WINDOWS == list(range(2, 9))
+    picks = [msm_mod._native_window(n) for n in range(1, 1 << 13)]
+    assert picks == sorted(picks)
+    assert [msm_mod._native_window(n) for n in (2, 17, 64, 128)] == [
+        2, 4, 4, 5
+    ]
+
+
+EDGE_SCALARS = (
+    EDGES + INT8_NEGATIVES + [-5, R, R + 5, 2 * R - 1, 3 * R + 7, _S, 0, 1 << 253]
+)
+
+
+@pytest.mark.parametrize("w", RULE_WINDOWS)
+def test_variable_msm_edge_scalars_and_none_points(w, min_batch, monkeypatch,
+                                                   native_calls):
+    _force_native_window(monkeypatch, w)
+    pts = [_POOL[i % len(_POOL)] for i in range(len(EDGE_SCALARS))]
+    pts[2] = pts[9] = None
+    want = _naive(pts, EDGE_SCALARS)
+    assert msm(pts, EDGE_SCALARS) == want
+    assert _python(lambda: msm(pts, EDGE_SCALARS)) == want
+    # Folded negatives alone: a digit or two each.
+    small = [v % R for v in INT8_NEGATIVES]
+    assert msm(_POOL[:5], small) == _naive(_POOL[:5], small)
+    live = sum(pt is not None and sc % R != 0
+               for pt, sc in zip(pts, EDGE_SCALARS))
+    assert native_calls == [live, 5]
+
+
+@pytest.mark.parametrize("w", RULE_WINDOWS)
+def test_variable_msm_doubles_and_cancels(w, min_batch, monkeypatch,
+                                          native_calls):
+    _force_native_window(monkeypatch, w)
+    p, q = _POOL[0], _POOL[1]
+    assert msm([p, p], [_S, _S]) == multiply(p, 2 * _S)
+    assert msm([p, neg(p)], [_S, _S]) is None
+    assert msm([p, p], [_S, R - _S]) is None
+    assert msm([p, neg(p), q], [_S, 3, 7]) == add(
+        multiply(p, _S - 3), multiply(q, 7)
+    )
+    cancel = [p, q] * 8
+    scs = [_S, R - 9, R - _S, 9] * 4
+    assert msm(cancel, scs) is None
+    assert _python(lambda: msm(cancel, scs)) is None
+    assert native_calls == [2, 2, 2, 3, 16]
+
+
+def test_empty_and_all_zero_inputs_stay_out_of_c(native_calls):
+    assert msm([], []) is None
+    assert msm([None, None], [3, 4]) is None
+    assert msm(_POOL[:3], [0, R, 2 * R]) is None
+    assert native_calls == []
+
+
+def test_g2_takes_the_python_path(native_calls):
+    g2 = g2_generator()
+    pts = [multiply(g2, k) for k in (2, 3, 5)]
+    scs = [_S, R - 4, 11]
+    assert msm(pts, scs) == _naive(pts, scs)
+    assert msm(pts[:1] * 20, [_S] * 20) == multiply(pts[0], 20 * _S)
+    assert native_calls == []
+
+
+def test_msm_follows_the_engine_between_calls(native_calls):
+    pts, scs, want, _ = _variable_case(17)
+    assert msm(pts, scs) == want
+    assert _python(lambda: msm(pts, scs)) == want
+    assert native_calls == [17]
+    assert msm(pts, scs) == want
+    assert native_calls == [17, 17]
