@@ -49,7 +49,13 @@ Times the dominant prover kernels on this machine:
   (``"88-g2"``), MSMs/sec, each against the generic ``msm``; and on the
   ``groth16_vanilla`` H shape (``"255-g1-h"``: 255 full-width scalars,
   w=8), the C kernel against the Python group ops on the same bases;
-  quick runs time all three.
+  quick runs time all three;
+* **spartan_mle** — the Spartan verifier's matrix-MLE step on the
+  ``spartan_crpc`` circuit (``"16x32x16"``: CRPC+PSQ), evaluations/sec
+  from a packing point and the challenges ``r_abc, rx, ry``: the packed
+  path (instance from the per-circuit packed CSR, one transposed CSR
+  matvec, ``<m, wcol>``) against ``specialize`` plus the per-entry loop
+  it replaced; timed in quick runs.
 
 Every entry records ops/sec (points/sec for MSM, table-elements/sec for
 sumcheck, vector-elements/sec for commits), so future PRs have a perf
@@ -108,7 +114,9 @@ from repro.spartan.commitment import (  # noqa: E402
     pedersen_generators,
     pedersen_table,
 )
-from repro.spartan.snark import _half  # noqa: E402
+from repro.poly.multilinear import eq_evals  # noqa: E402
+from repro.r1cs.builder import derive_z  # noqa: E402
+from repro.spartan.snark import _column_evals, _half, _shape  # noqa: E402
 from repro.spartan.sumcheck import (  # noqa: E402
     sumcheck_prove,
     sumcheck_prove_reference,
@@ -133,6 +141,9 @@ HYRAX_INT8_SIZE = 1 << 11  # a dense int8 vector the size of that matrix
 HYRAX_OPENING_SIZE = 32  # the opening row t of that matrix
 # A single-row commit takes ~10 ms: time the best of this many per repeat.
 HYRAX_OPENING_REPEATS = 20
+# The spartan_crpc workload's circuit, whose matrix MLEs the
+# ``spartan_mle`` entry evaluates.
+SPARTAN_MLE_SHAPE = (16, 32, 16)
 # The verifier's hyrax_verify MSM: the 64 row commitments of that matrix
 # against full-width eq weights.
 HYRAX_VERIFY_POINTS = 64
@@ -637,6 +648,57 @@ def bench_groth16_query(repeats: int = 1) -> Dict[str, Dict[str, float]]:
     return out
 
 
+def _naive_m_eval(cs, z, r_abc, rx, ry) -> int:
+    """The verifier's matrix-MLE step before the packed CSR: specialise
+    the system at ``z``, then one pass per nonzero entry."""
+    instance = cs.specialize(z)
+    _, half, _ = _shape(instance)
+    npub = instance.num_public
+    eq_rx, eq_rest = eq_evals(rx), eq_evals(ry[1:])
+    m_eval = 0
+    for which, rmul in zip("ABC", r_abc):
+        acc = 0
+        for q, wire, coeff in instance.entries(which):
+            col = wire if wire < npub else half + (wire - npub)
+            if col < half:
+                weight = (1 - ry[0]) % R * eq_rest[col] % R
+            else:
+                weight = ry[0] * eq_rest[col - half] % R
+            acc = (acc + coeff * eq_rx[q] % R * weight) % R
+        m_eval = (m_eval + rmul * acc) % R
+    return m_eval
+
+
+def bench_spartan_mle(repeats: int = 1) -> Dict[str, Dict[str, float]]:
+    """Evaluations/sec of the Spartan verifier's matrix-MLE step at the
+    ``spartan_crpc`` shape: the packed path against ``specialize`` plus
+    the per-entry loop, eq tables included on both sides."""
+    a, n, b = SPARTAN_MLE_SHAPE
+    cs = MatmulCircuit(a, n, b, "crpc_psq").cs
+    rng = random.Random(0x3A1E)
+    z = derive_z(b"spartan-mle")
+    cons_padded, _, full = _shape(cs.packed().at(z))
+    r_abc = [rng.randrange(R) for _ in range(3)]
+    rx = [rng.randrange(R) for _ in range(cons_padded.bit_length() - 1)]
+    ry = [rng.randrange(R) for _ in range(full.bit_length() - 1)]
+
+    def fast() -> int:
+        m_eval, _ = _column_evals(cs.packed().at(z), r_abc, eq_evals(rx), ry, [1])
+        return m_eval
+
+    if fast() != _naive_m_eval(cs, z, r_abc, rx, ry):
+        raise AssertionError("packed matrix MLE disagrees with the loop")
+    n_runs = SMALL_KERNEL_REPEATS * repeats
+    return {
+        f"{a}x{n}x{b}": {
+            "fast_ops_per_sec": 1 / _timed(fast, n_runs),
+            "naive_ops_per_sec": 1 / _timed(
+                lambda: _naive_m_eval(cs, z, r_abc, rx, ry), n_runs
+            ),
+        }
+    }
+
+
 def merge_baseline(path: str, results: Dict[str, object]) -> Dict[str, object]:
     """Merge ``results`` into the shared baseline file per *entry*: other
     scripts' sections survive untouched, and a --quick run updates only
@@ -702,6 +764,7 @@ def run_benchmarks(repeats: int = 1, quick: bool = False) -> Dict[str, object]:
         "g2_msm": bench_g2_msm(repeats=repeats),
         "groth16_blind": bench_groth16_blind(repeats),
         "groth16_query": bench_groth16_query(repeats),
+        "spartan_mle": bench_spartan_mle(repeats),
     }
 
 
@@ -727,7 +790,7 @@ def main(argv=None) -> int:
     merge_baseline(args.out, results)
     for section in (
         "msm", "field", "sumcheck", "hyrax_commit", "ntt", "groth16_quotient",
-        "pairing", "g2_msm", "groth16_blind", "groth16_query",
+        "pairing", "g2_msm", "groth16_blind", "groth16_query", "spartan_mle",
     ):
         print(f"[{section}]")
         for size, entry in sorted(

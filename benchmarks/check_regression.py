@@ -70,6 +70,8 @@ from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 # carry only their blinder), next to the uniform 254-bit sizes; its
 # ``"32-opening"`` entry gates the verifier's single-row opening commit.
 # Quick runs time all three.
+# The spartan_mle section gates the Spartan verifier's matrix-MLE step on
+# the spartan_crpc circuit: the packed path, timed in quick runs.
 _GATED_METRICS = (
     "fast_ops_per_sec",
     "fixed_base_ops_per_sec",
@@ -123,6 +125,7 @@ def _paired_metrics(baseline: dict, fresh: dict):
         "g2_msm",
         "groth16_blind",
         "groth16_query",
+        "spartan_mle",
         "service",
     ):
         base_sec = baseline.get(section, {})

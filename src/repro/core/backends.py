@@ -36,6 +36,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .. import groth16
 from .. import serialize
 from .. import spartan
+from ..field import vector
 from ..field.prime_field import BN254_FR_MODULUS
 from ..gadgets.matmul import MatmulCircuit
 from ..r1cs.builder import derive_z
@@ -287,7 +288,7 @@ class SpartanBackend(ProofBackend):
         y = circuit.product(x_mat, w_mat)
         z = derive_z(circuit.circuit_id() + commitment + matrix_bytes(y))
         circuit.assign(x_mat, w_mat, z, y=y)
-        instance = circuit.cs.specialize(z)
+        instance = circuit.cs.packed().at(z)
         transcript = spartan.Transcript(b"zkvc-matmul")
         transcript.append_bytes(b"commitment", commitment)
         transcript.append_scalar(b"packing-z", z)
@@ -324,7 +325,7 @@ class SpartanBackend(ProofBackend):
         )
         if bundle.z != expected_z:
             return False
-        instance = circuit.cs.specialize(bundle.z)
+        instance = circuit.cs.packed().at(bundle.z)
         transcript = spartan.Transcript(b"zkvc-matmul")
         transcript.append_bytes(b"commitment", bundle.commitment)
         transcript.append_scalar(b"packing-z", bundle.z)
@@ -334,10 +335,14 @@ class SpartanBackend(ProofBackend):
 
     def warm(self, artifacts, circuit: Optional[MatmulCircuit] = None) -> None:
         """Build the Pedersen table rows this circuit's witness commitment
-        uses, so the first proof of a chunk does not extend it mid-job."""
+        uses and its packed constraint system, so the first proof of a
+        chunk does not pay for either mid-job."""
         if circuit is not None:
             cs = circuit.cs
             spartan.snark.warm(cs.num_public, cs.num_wires - cs.num_public)
+            packed = cs.packed()
+            if vector.active_impl() is not None:
+                packed.arrays()
 
     def export_vk(self, artifacts) -> bytes:
         return b""

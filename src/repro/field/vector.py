@@ -58,17 +58,22 @@ __all__ = [
     "NTT_MIN",
     "MATVEC_MIN_TERMS",
     "SUMCHECK_MIN_HALF",
+    "EQ_MIN_VARS",
 ]
 
 R256 = pow(2, 256, P)
 
-# Profitability floors (elements / nonzero terms / sumcheck half-size):
-# below these the Python<->array conversion overhead beats the kernel win.
-# Measured on the benchmark host: the sumcheck rounds call ~15 vector ops
-# per round, so their break-even sits far above the NTT's.
+# Profitability floors (elements / nonzero terms / sumcheck half-size /
+# eq-table variables): below these the Python<->array conversion overhead
+# beats the kernel win.  Measured on the benchmark host: the sumcheck
+# rounds call ~15 vector ops per round, so their break-even sits far above
+# the NTT's.  An eq table costs ~50 us of call overhead per variable on the
+# vector engine; with the conversion back to ints it breaks even at 8
+# variables (~0.52 vs ~0.56 ms) and wins from 9 (~0.67 vs ~1.08 ms).
 NTT_MIN = 32
 MATVEC_MIN_TERMS = 64
 SUMCHECK_MIN_HALF = 1024
+EQ_MIN_VARS = 8
 
 
 # --------------------------------------------------------------------------
@@ -275,12 +280,15 @@ class NTTKernel:
 
 
 class CSRKernel:
-    """One CSR matrix with Montgomery-form coefficients + the C matvec."""
+    """One CSR matrix with Montgomery-form coefficients + the C matvec.
 
-    def __init__(self, wires, coeffs, row_ptr):
+    ``prepared`` holds the coefficients as :func:`prepare_multipliers`
+    limbs (or as a ``vec_mul_prepared`` product of two such arrays)."""
+
+    def __init__(self, wires, prepared: "np.ndarray", row_ptr):
         self.wires = np.asarray(wires, dtype=np.int64)
         self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
-        self.coeffs = to_limbs([c * R256 % P for c in coeffs])
+        self.coeffs = _c(prepared)
         self.rows = len(row_ptr) - 1
         self.nat = _native.load()
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import secrets
 from typing import Callable, Optional, Sequence
 
-from ..curve.bn254 import multiply, neg
 from ..curve.msm import msm
 from ..curve.pairing import pairing_product_is_one
 from .keys import Proof, VerifyingKey
@@ -42,12 +41,12 @@ def batch_verify(
         rng = lambda: secrets.randbits(127) | 1  # noqa: E731
 
     coeffs = [rng() for _ in proofs]
-    pairs = [
-        (neg(multiply(proof.a, r_i)), proof.b) for r_i, proof in zip(coeffs, proofs)
-    ]
+    # One-point MSMs, not ``multiply``: under the vector engine each is one
+    # C call, and ``msm`` negates by folding ``-r_i`` into its scalar.
+    pairs = [(msm([proof.a], [-r_i]), proof.b) for r_i, proof in zip(coeffs, proofs)]
     pvk = prepare_verifying_key(vk)
     prepared = [
-        (multiply(vk.alpha_g1, sum(coeffs)), pvk.beta_g2),
+        (msm([vk.alpha_g1], [sum(coeffs)]), pvk.beta_g2),
         (combined_statement(vk, statements, coeffs), pvk.gamma_g2),
         (msm([proof.c for proof in proofs], coeffs), pvk.delta_g2),
     ]

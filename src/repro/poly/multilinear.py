@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from ..field import vector as _vector
 from ..field.prime_field import BN254_FR_MODULUS
 
 R = BN254_FR_MODULUS
@@ -75,13 +76,31 @@ def eq_evals(point: Sequence[int]) -> List[int]:
 
     ``eq(x, b) = prod_i (x_i b_i + (1-x_i)(1-b_i))`` is the multilinear
     indicator; Spartan multiplies the R1CS identity by it so the sumcheck
-    pins down every row rather than only the sum.
+    pins down every row rather than only the sum.  Tables of
+    ``2**vector.EQ_MIN_VARS`` entries and more are built on the vector
+    engine; the loop below is the oracle.
     """
+    if len(point) >= _vector.EQ_MIN_VARS and _vector.active_impl() is not None:
+        return _vector.from_limbs(eq_evals_limbs(point))
     table = [1]
     for r in point:
         r %= R
         nr = (1 - r) % R
         table = [v * x % R for v in table for x in (nr, r)]
+    return table
+
+
+def eq_evals_limbs(point: Sequence[int]):
+    """:func:`eq_evals` as limbs: each variable splits every entry ``t``
+    into ``t (1 - r)`` and ``t r``, interleaved (``r`` is the low bit)."""
+    np = _vector.np
+    table = _vector.to_limbs([1])
+    for r in point:
+        high = _vector.vec_mul_scalar(table, r)
+        nxt = np.empty((2 * len(table), 4), dtype=np.uint64)
+        nxt[0::2] = _vector.vec_sub(table, high)
+        nxt[1::2] = high
+        table = nxt
     return table
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..field.prime_field import BN254_FR_MODULUS
-from .lincomb import LC, LinearCombination
+from .lincomb import LC, LinearCombination, z_powers
 
 R = BN254_FR_MODULUS
 
@@ -62,6 +62,7 @@ class ConstraintSystem:
         self.num_public = 1  # wire 0 (constant one) is public by convention
         self.constraints: List[Constraint] = []
         self._public_frozen = False
+        self._packed: Optional["PackedR1CS"] = None
 
     # -- wires -----------------------------------------------------------------
     def alloc_public(self, name: str, value: Optional[int] = None) -> int:
@@ -225,13 +226,16 @@ class ConstraintSystem:
         return s
 
     def specialize(self, z: int) -> "R1CSInstance":
+        """The concrete instance at packing point ``z``, duplicate wires
+        merged (Groth16 setup; Spartan serves from :meth:`packed`)."""
         from .system import R1CSInstance
 
+        zpow = z_powers(z, self.max_z_degree())
         rows_a, rows_b, rows_c = [], [], []
         for con in self.constraints:
-            rows_a.append(con.a.specialize(z))
-            rows_b.append(con.b.specialize(z))
-            rows_c.append(con.c.specialize(z))
+            rows_a.append(con.a.specialize(z, zpow))
+            rows_b.append(con.b.specialize(z, zpow))
+            rows_c.append(con.c.specialize(z, zpow))
         return R1CSInstance(
             num_wires=self.num_wires,
             num_public=self.num_public,
@@ -239,6 +243,23 @@ class ConstraintSystem:
             b_rows=rows_b,
             c_rows=rows_c,
         )
+
+    def packed(self) -> "PackedR1CS":
+        """Every term of the system laid out once as CSR
+        (:class:`~repro.r1cs.packed.PackedR1CS`), cached here and rebuilt
+        when constraints or wires were added since the last call."""
+        from .packed import PackedR1CS
+
+        packed = self._packed
+        if packed is None or (
+            packed.num_constraints,
+            packed.num_wires,
+            packed.num_public,
+        ) != (len(self.constraints), self.num_wires, self.num_public):
+            packed = self._packed = PackedR1CS(
+                self.constraints, self.num_wires, self.num_public
+            )
+        return packed
 
 
 def derive_z(seed: bytes) -> int:

@@ -9,11 +9,21 @@ later specialises to a secret (Groth16 setup) or Fiat–Shamir challenge
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..field.prime_field import BN254_FR_MODULUS
 
 R = BN254_FR_MODULUS
+
+
+def z_powers(z: int, max_deg: int, one: int = 1) -> List[int]:
+    """``[z^0, z^1, ..., z^max_deg]`` mod R, each times ``one`` (pass
+    ``2**256 mod R`` for Montgomery form)."""
+    z %= R
+    out = [one]
+    for _ in range(max_deg):
+        out.append(out[-1] * z % R)
+    return out
 
 
 class Term(NamedTuple):
@@ -83,14 +93,21 @@ class LinearCombination:
             acc += v
         return acc % R
 
-    def specialize(self, z: int) -> List[Tuple[int, int]]:
+    def specialize(
+        self, z: int, zpow: Optional[Sequence[int]] = None
+    ) -> List[Tuple[int, int]]:
         """Collapse ``Z`` to a concrete field value, merging duplicate wires.
 
-        Returns ``[(wire, coeff), ...]`` sorted by wire.
+        ``zpow`` is :func:`z_powers` of ``z`` up to at least this
+        combination's degree (a constraint system shares one table across
+        its rows); it is built here when not given.  Returns
+        ``[(wire, coeff), ...]`` sorted by wire.
         """
+        if zpow is None:
+            zpow = z_powers(z, self.max_z_degree)
         merged: Dict[int, int] = {}
         for wire, coeff, z_deg in self.terms:
-            c = coeff * pow(z, z_deg, R) % R if z_deg else coeff
+            c = coeff * zpow[z_deg] % R if z_deg else coeff
             new = (merged.get(wire, 0) + c) % R
             if new:
                 merged[wire] = new

@@ -56,23 +56,34 @@ class FlatR1CS:
         self.row_ptr = row_ptr
         self._vec = None
 
+    @classmethod
+    def from_csr(cls, wires, row_ptr, coeffs, kernel=None) -> "FlatR1CS":
+        """A flattening over ready CSR lists: canonical ``coeffs``, or
+        ``None`` with a vector-engine ``kernel`` that holds them (such a
+        flattening serves the vector engine only)."""
+        flat = cls.__new__(cls)
+        flat.wires, flat.row_ptr = wires, row_ptr
+        flat.coeffs, flat._vec = coeffs, kernel
+        return flat
+
     @property
     def num_rows(self) -> int:
         return len(self.row_ptr) - 1
 
     def vec_kernel(self):
         """CSR kernel for the vector engine, or ``None`` when the scalar
-        backend is active or the matrix is below the profitability floor.
-        Dropping the :class:`FlatR1CS` (``invalidate_flat_cache``) drops
-        the kernel."""
-        if (
-            _vector.active_impl() is None
-            or len(self.wires) < _vector.MATVEC_MIN_TERMS
-        ):
+        backend is active or a matrix without a ready kernel is below the
+        profitability floor.  Dropping the :class:`FlatR1CS`
+        (``invalidate_flat_cache``) drops the kernel."""
+        if _vector.active_impl() is None:
             return None
         if self._vec is None:
+            if len(self.wires) < _vector.MATVEC_MIN_TERMS:
+                return None
             self._vec = _vector.CSRKernel(
-                self.wires, self.coeffs, self.row_ptr
+                self.wires,
+                _vector.prepare_multipliers(self.coeffs),
+                self.row_ptr,
             )
         return self._vec
 
@@ -135,10 +146,24 @@ class R1CSInstance:
         return sum(c * assignment[w] for w, c in row) % R
 
     def _rows(self, which: str) -> List[SparseRow]:
+        if which == "T":
+            return self._stacked_columns()
         return {"A": self.a_rows, "B": self.b_rows, "C": self.c_rows}[which]
 
+    def _stacked_columns(self) -> List[SparseRow]:
+        """``[A; B; C]`` transposed: row ``w`` lists ``(k * m + q, coeff)``
+        for every entry of row ``q`` of matrix ``k`` on wire ``w``."""
+        cols: List[SparseRow] = [[] for _ in range(self.num_wires)]
+        m = self.num_constraints
+        for k, rows in enumerate((self.a_rows, self.b_rows, self.c_rows)):
+            for q, row in enumerate(rows):
+                for wire, coeff in row:
+                    cols[wire].append((k * m + q, coeff))
+        return cols
+
     def flat(self, which: str) -> FlatR1CS:
-        """The cached CSR flattening of matrix ``which`` (built lazily).
+        """The cached CSR flattening of matrix ``which`` (built lazily;
+        ``"T"`` is the transposed stack of :meth:`transpose_matvec`).
 
         The sparse rows are snapshotted at first use; a caller that
         mutates ``a_rows``/``b_rows``/``c_rows`` afterwards must call
@@ -200,6 +225,29 @@ class R1CSInstance:
         """Limb-domain matvec against a pre-converted assignment, or
         ``None`` when the vector kernel is not engaged for that matrix."""
         return self.flat(which).matvec_limbs(z_limbs)
+
+    def _stacked(self, scales: Sequence[int], vec: Sequence[int]) -> List[int]:
+        m = self.num_constraints
+        return [s * v % R for s in scales for v in vec[:m]]
+
+    def transpose_matvec(
+        self, scales: Sequence[int], vec: Sequence[int]
+    ) -> List[int]:
+        """``sA Aᵀ v + sB Bᵀ v + sC Cᵀ v`` per wire, for ``scales =
+        (sA, sB, sC)`` and ``v = vec[:num_constraints]``: one CSR matvec
+        of the transposed stack ``[A; B; C]`` against ``[sA v | sB v |
+        sC v]`` (Spartan's column table)."""
+        return self.flat("T").matvec(self._stacked(scales, vec))
+
+    def transpose_matvec_limbs(
+        self, scales: Sequence[int], vec: Sequence[int]
+    ) -> Optional[object]:
+        """:meth:`transpose_matvec` as limbs, or ``None`` when the vector
+        kernel is not engaged."""
+        kern = self.flat("T").vec_kernel()
+        if kern is None:
+            return None
+        return kern.matvec_limbs(_vector.to_limbs(self._stacked(scales, vec)))
 
     def naive_matvec(self, which: str, assignment: Sequence[int]) -> List[int]:
         """Tuple-unpacking reference matvec, kept for equivalence tests and

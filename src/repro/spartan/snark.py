@@ -8,9 +8,10 @@ Protocol (Setty, CRYPTO'20), as reproduced here:
    pinning the R1CS identity at a random row point ``rx``.
 3. Sumcheck #2 proves the three matrix-vector evaluations at ``rx`` against
    a random linear combination over columns, ending at a column point ``ry``.
-4. The verifier evaluates the matrix MLEs ``A~(rx, ry)`` etc. directly from
-   the sparse matrices (we omit Spartan's SPARK matrix commitments — the
-   matrices are public here), and gets ``w~`` from the commitment opening.
+4. The verifier evaluates the matrix MLEs itself as ``<m, wcol>``, with
+   the same transposed-CSR column table ``m`` the prover runs sumcheck #2
+   on (we omit Spartan's SPARK matrix commitments — the matrices are
+   public here), and gets ``w~`` from the commitment opening.
 
 Everything is made non-interactive with the Fiat–Shamir transcript.
 """
@@ -18,11 +19,13 @@ Everything is made non-interactive with the Fiat–Shamir transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from operator import mul
+from typing import List, Sequence, Tuple
 
+from ..field import vector
 from ..field.ntt import next_power_of_two
 from ..field.prime_field import BN254_FR_MODULUS
-from ..poly.multilinear import eq_eval, eq_evals
+from ..poly.multilinear import eq_eval, eq_evals, eq_evals_limbs
 from ..r1cs.system import R1CSInstance
 from .commitment import (
     HyraxCommitment,
@@ -81,12 +84,28 @@ def warm(num_public: int, num_witness: int) -> None:
     blinder_table()
 
 
-def _column(index: int, num_public: int, half: int) -> int:
-    """Map an original wire index to the padded z-vector layout
-    ``[1, public..., 0 pad | witness..., 0 pad]``."""
-    if index < num_public:
-        return index
-    return half + (index - num_public)
+def _column_evals(
+    instance: R1CSInstance,
+    r_abc: Sequence[int],
+    eq_rx: Sequence[int],
+    ry: Sequence[int],
+    pub: Sequence[int],
+) -> Tuple[int, int]:
+    """``(<m, wcol>, <pub, eq(ry[1:])>)`` with ``wcol = [(1 - ry0)
+    eq(ry[1:]) | ry0 eq(ry[1:])]``: public wires on the first leg of the
+    padded layout, the witness on the second.  On the vector engine ``m``
+    and the eq table stay in limbs."""
+    npub, nw = instance.num_public, instance.num_witness
+    m = instance.transpose_matvec_limbs(r_abc, eq_rx)
+    if m is None:
+        eq, m = eq_evals(ry[1:]), instance.transpose_matvec(r_abc, eq_rx)
+        dot = lambda a, b: sum(map(mul, a, b))  # noqa: E731
+    else:
+        eq, pub = eq_evals_limbs(ry[1:]), vector.to_limbs(pub)
+        dot = lambda a, b: vector.vec_sum(vector.vec_mul(a, b))  # noqa: E731
+    m_eval = (1 - ry[0]) * dot(m[:npub], eq[:npub])
+    m_eval += ry[0] * dot(m[npub:], eq[:nw])
+    return m_eval % R, dot(pub, eq[:npub]) % R
 
 
 def prove(
@@ -135,18 +154,11 @@ def prove(
     r_abc = transcript.challenge_scalars(b"rabc", 3)
     claim2 = (r_abc[0] * va + r_abc[1] * vb + r_abc[2] * vc) % R
 
-    eq_rx = eq_evals(rx)
-    m_table = [0] * full
-    for which, rmul in zip("ABC", r_abc):
-        for q, wire, coeff in instance.entries(which):
-            col = _column(wire, npub, half)
-            m_table[col] = (m_table[col] + rmul * eq_rx[q] % R * coeff) % R
-    z_table = (
-        [v % R for v in assignment[:npub]]
-        + [0] * (half - npub)
-        + witness
-        + [0] * (half - len(witness))
-    )
+    # Padded z-vector layout: [1, public..., 0 pad | witness..., 0 pad].
+    pads = [0] * (half - npub), [0] * (half - len(witness))
+    m_wires = instance.transpose_matvec(r_abc, eq_evals(rx))
+    m_table = m_wires[:npub] + pads[0] + m_wires[npub:] + pads[1]
+    z_table = [v % R for v in assignment[:npub]] + pads[0] + witness + pads[1]
 
     def combine2(vals: Sequence[int]) -> int:
         return vals[0] * vals[1] % R
@@ -177,7 +189,7 @@ def verify(
     proof: SpartanProof,
     transcript: Transcript,
 ) -> bool:
-    cons_padded, half, full = _shape(instance)
+    cons_padded, _, full = _shape(instance)
     cons_vars = cons_padded.bit_length() - 1
     col_vars = full.bit_length() - 1
     npub = instance.num_public
@@ -210,25 +222,9 @@ def verify(
         return False
 
     # Oracle evaluations the verifier does itself.
-    eq_rx = eq_evals(rx)
-    eq_ry_rest = eq_evals(ry[1:])
-    m_eval = 0
-    for which, rmul in zip("ABC", r_abc):
-        acc = 0
-        for q, wire, coeff in instance.entries(which):
-            col = _column(wire, npub, half)
-            # col < half -> first-half leg, else second-half leg of ry[0].
-            if col < half:
-                weight = (1 - ry[0]) % R * eq_ry_rest[col] % R
-            else:
-                weight = ry[0] * eq_ry_rest[col - half] % R
-            acc = (acc + coeff * eq_rx[q] % R * weight) % R
-        m_eval = (m_eval + rmul * acc) % R
-
-    pub_vec = [1] + [v % R for v in public_inputs]
-    pub_eval = sum(
-        v * eq_ry_rest[i] for i, v in enumerate(pub_vec)
-    ) % R
+    m_eval, pub_eval = _column_evals(
+        instance, r_abc, eq_evals(rx), ry, [1, *public_inputs]
+    )
     if not hyrax_verify(proof.witness_commitment, ry[1:], proof.opening):
         return False
     transcript.append_scalars(

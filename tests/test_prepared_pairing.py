@@ -21,6 +21,7 @@ import pytest
 
 from repro.core import CircuitRegistry, KeyStore, MatmulProver, MatmulVerifier
 from repro.core.backends import Groth16Backend
+from repro.curve import bn254
 from repro.curve.bn254 import CURVE_ORDER, g1_generator, g2_generator, multiply, neg
 from repro.curve.msm import msm
 from repro.curve.pairing import (
@@ -33,6 +34,7 @@ from repro.curve.pairing import (
     pairing_product_is_one,
     prepare_g2,
 )
+from repro.field import vector
 from repro.field.extension import Fq2, P
 from repro.gadgets.matmul import MatmulCircuit
 from repro.groth16 import (
@@ -271,6 +273,34 @@ class TestVerdictEquivalence:
             rng = iter(coeffs).__next__
             assert _live_batch(vk, sts, pfs, coeffs) is verdict, name
             assert batch_verify(vk, sts, pfs, rng=rng) is verdict, name
+
+    def test_batch_verify_runs_no_multiply(self, groth, fresh_keys, monkeypatch):
+        """Under the native engine every product of ``batch_verify`` is a
+        one-point C ``msm``: no Python ``multiply`` runs."""
+        if not vector.available_impls():
+            pytest.skip("no vector engine available")
+        vk, statements, proofs, _ = groth
+        real = bn254.multiply
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        for mod in list(sys.modules.values()):
+            name = getattr(mod, "__name__", "") or ""
+            if name.startswith("repro") and getattr(mod, "multiply", None) is real:
+                monkeypatch.setattr(mod, "multiply", spy)
+        state = dict(vector._state)
+        try:
+            vector.set_backend("vector")
+            assert batch_verify(vk, statements, proofs) is True
+            bad = [statements[0], _bump_y(statements[1]), statements[2]]
+            assert batch_verify(vk, bad, proofs) is False
+        finally:
+            vector._state.clear()
+            vector._state.update(state)
+        assert calls == []
 
     def test_cached_alpha_beta_inverse(self, groth, fresh_keys):
         vk = groth[0]

@@ -86,6 +86,55 @@ class TestLinearCombination:
         assert "..." in repr(lc)
 
 
+def _per_term_specialize(lc, z):
+    """``LinearCombination.specialize`` as it was: one ``pow`` per term."""
+    merged = {}
+    for wire, coeff, z_deg in lc.terms:
+        c = coeff * pow(z, z_deg, R) % R if z_deg else coeff
+        new = (merged.get(wire, 0) + c) % R
+        if new:
+            merged[wire] = new
+        else:
+            merged.pop(wire, None)
+    return sorted(merged.items())
+
+
+class TestSpecializeZPowerTable:
+    """``ConstraintSystem.specialize`` shares one z-power table across the
+    system; its rows must equal the one-``pow``-per-term rows."""
+
+    @pytest.mark.parametrize("strategy", ["crpc_psq", "vanilla_psq", "vanilla"])
+    @pytest.mark.parametrize("z", [0, 1, "random"])
+    def test_rows_identical(self, strategy, z):
+        from repro.gadgets.matmul import MatmulCircuit
+
+        z = derive_z(b"zpow") if z == "random" else z
+        cs = MatmulCircuit(2, 4, 3, strategy).cs
+        inst = cs.specialize(z)
+        for rows, side in ((inst.a_rows, "a"), (inst.b_rows, "b"), (inst.c_rows, "c")):
+            assert rows == [
+                _per_term_specialize(getattr(con, side), z) for con in cs.constraints
+            ]
+
+    @pytest.mark.parametrize("z", [0, 1, 5])
+    def test_zero_coefficients_dropped(self, z):
+        # Wire 1 carries 2 Z - 10, which cancels at z = 5; at z = 0 only
+        # the Z^0 terms survive.
+        lc = LC([(1, 2, 1), (1, -10, 0), (2, 3, 2), (3, 1, 0)])
+        cs = ConstraintSystem()
+        for i in range(3):
+            cs.alloc_public(f"w{i}", 1)
+        cs.enforce(lc, LC.constant(1), lc)
+        inst = cs.specialize(z)
+        assert inst.a_rows[0] == _per_term_specialize(lc, z)
+        assert all(c for _, c in inst.a_rows[0])
+        assert lc.specialize(z) == inst.a_rows[0]
+        if z == 5:
+            assert [w for w, _ in inst.a_rows[0]] == [2, 3]
+        if z == 0:
+            assert inst.a_rows[0] == [(1, R - 10), (3, 1)]
+
+
 class TestConstraintSystem:
     def test_simple_satisfaction(self):
         cs = ConstraintSystem()
