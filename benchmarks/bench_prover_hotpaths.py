@@ -15,7 +15,11 @@ Times the dominant prover kernels on this machine:
   mulmod/addmod, batched inversion, ``ntt_many``, and the FlatR1CS CSR
   matvec;
 * **sumcheck** proving for table sizes 2^10..2^16 — the specialized
-  ``prod2`` kernel and the naive reference prover;
+  ``prod2`` kernel on int tables (on the vector engine: their conversion
+  plus the fused C rounds) and the naive reference prover; with the
+  vector engine active, ``"<n>-native_fused"`` times the fused C rounds
+  alone, on Montgomery-form limb tables as the Spartan prover hands
+  them over, against the scalar ``prod2`` loops;
 * **Hyrax commit** at 2^10 / 2^12 on uniform 254-bit scalars — the
   batched fixed-base path versus per-row generic MSMs — and at 2048
   int8-shaped scalars (``"2048-int8"``: half of them negative, dense),
@@ -264,6 +268,31 @@ def bench_sumcheck(
             repeats,
         )
         out[str(n)] = entry
+        if vector.active_impl() is None:
+            continue
+        mont = [vector.to_mont(vector.to_limbs(t)) for t in (a, b)]
+        fused = _timed(
+            lambda: sumcheck_prove(
+                mont, combine, 2, claim, Transcript(), b"b",
+                kernel="prod2",
+            ),
+            repeats,
+        )
+        vector.set_backend("scalar")
+        try:
+            loops = _timed(
+                lambda: sumcheck_prove(
+                    [list(a), list(b)], combine, 2, claim, Transcript(),
+                    b"b", kernel="prod2",
+                ),
+                repeats,
+            )
+        finally:
+            vector.set_backend(None)  # back to the env-resolved backend
+        out[f"{n}-native_fused"] = {
+            "fast_ops_per_sec": n / fused,
+            "naive_ops_per_sec": n / loops,
+        }
     return out
 
 

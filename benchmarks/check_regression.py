@@ -87,12 +87,14 @@ _GATED_METRICS = (
     "final_exp_ops_per_sec",
 )
 
-# Lower-is-better counters (not timings): gated absolutely, with no
-# machine-factor adjustment — a count ratio is hardware-independent.
-# ``remote_connects_per_proof`` is the pooling canary: a slide back to
-# connection-per-dispatch multiplies dials-per-proof several-fold, far
-# past any plausible scheduling noise.
-_GATED_INVERSE = ("remote_connects_per_proof",)
+# Counters that must read zero on every fresh run, whatever the baseline
+# or the history says.  ``remote_extra_dials`` is the pooling canary: a
+# pooled fleet dials each worker it uses exactly once, so every dial
+# beyond that is a socket the pool failed to reuse (a slide back to
+# connection-per-dispatch shows up as several).  It replaces the ratio
+# ``remote_connects_per_proof`` against a baseline, which read 2x
+# whenever the chunks of a batch spread over both loopback workers.
+_GATED_ZERO = ("remote_extra_dials",)
 
 # The pool metrics (process workers, loopback remote fleet) scale with
 # core count; comparing across differently-cored hosts prices the
@@ -100,17 +102,13 @@ _GATED_INVERSE = ("remote_connects_per_proof",)
 _CORE_SCALED = ("process_ops_per_sec", "remote_ops_per_sec")
 
 
-def _paired_inverse_metrics(baseline: dict, fresh: dict):
-    base_sec = baseline.get("service", {})
-    for size, fresh_entry in fresh.get("service", {}).items():
-        base_entry = base_sec.get(size, {})
-        for metric in _GATED_INVERSE:
-            if metric not in base_entry or metric not in fresh_entry:
-                continue
-            old = base_entry[metric]
-            if old <= 0:
-                continue
-            yield "service", size, metric, old, fresh_entry[metric]
+def _nonzero_counters(fresh: dict):
+    """``(section, size, metric, value)`` of every zero-gated counter of
+    ``fresh`` that is not zero."""
+    for size, entry in fresh.get("service", {}).items():
+        for metric in _GATED_ZERO:
+            if entry.get(metric, 0):
+                yield "service", size, metric, entry[metric]
 
 
 def _paired_metrics(baseline: dict, fresh: dict):
@@ -197,7 +195,7 @@ def history_check(
 
     store = ResultStore(store_root)
     window = window or DEFAULT_WINDOW
-    gated = set(_GATED_METRICS) | set(_GATED_INVERSE)
+    gated = set(_GATED_METRICS)
     fresh_cpu = fresh.get("meta", {}).get("cpu_count")
     hist = store.records(suite=HISTORY_SUITE, scan=HISTORY_SCAN)[-window:]
     mixed_cores = any(
@@ -281,6 +279,12 @@ def main(argv=None) -> int:
         if not overhead_ok:
             print("RESILIENCE OVERHEAD REGRESSION (fault-free path > 5%)")
             return 1
+    nonzero = list(_nonzero_counters(fresh))
+    if nonzero:
+        print("POOLING REGRESSION (counters that must read 0):")
+        for section, size, metric, value in nonzero:
+            print(f"  {section}[n={size}].{metric}: got {value}")
+        return 1
     factor = machine_factor(baseline, fresh)
     if abs(factor - 1.0) > 0.15:
         print(
@@ -320,18 +324,6 @@ def main(argv=None) -> int:
         )
     regressions = list(compare(baseline, fresh, args.threshold, factor))
     checked = len(list(_paired_metrics(baseline, fresh)))
-    # Inverse (lower-is-better) counters: regression = the count *grew*
-    # past the threshold.  A small absolute slack forgives one extra dial
-    # on a tiny batch (e.g. a reconnect after a reaped idle socket).
-    inverse_regressions = []
-    for section, size, metric, old, new in _paired_inverse_metrics(
-        baseline, fresh
-    ):
-        checked += 1
-        if new > old * (1.0 + args.threshold) + 0.02:
-            inverse_regressions.append(
-                (section, size, metric, old, new, new / old)
-            )
     # Warn instead of failing on core-scaled metrics across differing
     # core counts (see _CORE_SCALED).
     base_cpu = baseline.get("meta", {}).get("cpu_count")
@@ -345,18 +337,12 @@ def main(argv=None) -> int:
                 f"({ratio:.2f}x) — not gating: baseline host had "
                 f"{base_cpu} cores, this host has {fresh_cpu}"
             )
-    if regressions or inverse_regressions:
-        total = len(regressions) + len(inverse_regressions)
-        print(f"PERF REGRESSION ({total} of {checked} metrics):")
+    if regressions:
+        print(f"PERF REGRESSION ({len(regressions)} of {checked} metrics):")
         for section, size, metric, expected, new, ratio in regressions:
             print(
                 f"  {section}[n={size}].{metric}: expected ~{expected:,.0f}, "
                 f"got {new:,.0f} ops/sec ({ratio:.2f}x)"
-            )
-        for section, size, metric, old, new, ratio in inverse_regressions:
-            print(
-                f"  {section}[n={size}].{metric}: expected <={old:.3f}, "
-                f"got {new:.3f} ({ratio:.2f}x; lower is better)"
             )
         return 1
     print(

@@ -296,8 +296,9 @@ class ConnectionPool:
     socket after a clean exchange; ``discard`` destroys one after any
     fault.  Idle sockets older than ``idle_seconds`` are reaped on every
     acquire/release.  ``connects``/``reuses``/``reaped`` counters are the
-    auditable record that pooling actually pools — asserted in tests and
-    recorded by the bench as ``connects_per_proof``.
+    auditable record that pooling actually pools — asserted in tests; the
+    bench gates ``connects`` beyond one per worker dialled
+    (``workers_dialled`` in :meth:`stats`) at zero.
     """
 
     def __init__(
@@ -318,6 +319,7 @@ class ConnectionPool:
         self.connects = 0
         self.reuses = 0
         self.reaped = 0
+        self._dialled: set = set()
 
     def acquire(self, addr: Tuple[str, int]) -> PooledConnection:
         """An open (authenticated) connection to ``addr`` — reused when a
@@ -333,6 +335,7 @@ class ConnectionPool:
         sock = open_connection(addr, self.connect_timeout, self.auth_token)
         with self._guard:
             self.connects += 1
+            self._dialled.add(addr)
         return PooledConnection(sock=sock, addr=addr, last_used=self.clock())
 
     def release(self, conn: PooledConnection) -> None:
@@ -399,6 +402,7 @@ class ConnectionPool:
         with self._guard:
             return {
                 "connects": self.connects,
+                "workers_dialled": len(self._dialled),
                 "reuses": self.reuses,
                 "reaped": self.reaped,
                 "idle": sum(len(idle) for idle in self._idle.values()),

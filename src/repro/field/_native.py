@@ -2,9 +2,10 @@
 
 The vector backend (:mod:`repro.field.vector`) runs its hottest kernels —
 4x64 Montgomery multiply, modular add/sub, the radix-2 NTT butterfly
-sweep, and the CSR matvec — through a tiny shared library compiled here at
-first use.  Nothing is ever installed: the source below is compiled with
-whatever ``cc``/``gcc``/``clang`` is on PATH into
+sweep, the CSR matvec and the fused sumcheck round — through a tiny
+shared library compiled here at first use.  Nothing is ever installed:
+the source below is compiled with whatever ``cc``/``gcc``/``clang`` is
+on PATH into
 ``$TMPDIR/repro-fr-native-<digest>-u<uid>/fr.so`` and loaded via
 :mod:`ctypes`.  Any failure (no compiler, sandboxed tempdir, broken
 toolchain) makes :func:`load` return ``None`` and the field engine runs
@@ -141,6 +142,21 @@ static inline void mont_mul_m(const uint64_t a[4], const uint64_t b[4],
     r[0] = t[0]; r[1] = t[1]; r[2] = t[2]; r[3] = t[3];
 }
 
+static const uint64_t ONE[4] = {1, 0, 0, 0};
+static const uint64_t ZERO[4] = {0, 0, 0, 0};
+
+static inline void cp4(uint64_t *d, const uint64_t *s) {
+    d[0] = s[0]; d[1] = s[1]; d[2] = s[2]; d[3] = s[3];
+}
+
+static inline int eq4(const uint64_t *a, const uint64_t *b) {
+    return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
+}
+
+static inline int is_zero4(const uint64_t *a) {
+    return !(a[0] | a[1] | a[2] | a[3]);
+}
+
 #define addmod(a, b, r) addmod_m(a, b, r, P)
 #define submod(a, b, r) submod_m(a, b, r, P)
 #define mont_mul(a, b, r) mont_mul_m(a, b, r, P, N0INV)
@@ -201,7 +217,8 @@ void fr_ntt(uint64_t *a, size_t n, const uint64_t *tw) {
 }
 
 /* CSR matvec: out[q] = sum over row q of coeffs[j]*z[wires[j]] mod p,
- * coefficients in Montgomery form, z and out canonical. */
+ * coefficients in Montgomery form; out is canonical for a canonical z and
+ * in Montgomery form for a Montgomery-form z. */
 void fr_csr_matvec(const int64_t *wires, const uint64_t *coeffs,
                    const int64_t *row_ptr, size_t rows, const uint64_t *z,
                    uint64_t *out) {
@@ -215,6 +232,116 @@ void fr_csr_matvec(const int64_t *wires, const uint64_t *coeffs,
         uint64_t *o = out + 4 * q;
         o[0] = acc[0]; o[1] = acc[1]; o[2] = acc[2]; o[3] = acc[3];
     }
+}
+
+/* r[i] = a[i] * 2^256 mod p (into Montgomery form); r may alias a. */
+void fr_to_mont(const uint64_t *a, uint64_t *r, size_t n) {
+    for (size_t i = 0; i < n; i++) mont_mul(a + 4 * i, P_R2, r + 4 * i);
+}
+
+/* ---- sumcheck rounds --------------------------------------------------------
+ * The tables of one sumcheck live in Montgomery form, table j at
+ * tabs + 4*stride*j with its first n rows live.  A round's summand at one
+ * point, from one value per table (Montgomery in, Montgomery out): kind 0
+ * is a*b, kind 1 a*b*c, kind 2 e*(a*b - c); kind k takes k + 2 tables. */
+enum { SC_PROD2 = 0, SC_PROD3 = 1, SC_EQ_ABC = 2 };
+
+static inline void sc_combine(int kind, uint64_t v[4][4], uint64_t r[4]) {
+    uint64_t t[4];
+    if (kind == SC_PROD2) {
+        mont_mul(v[0], v[1], r);
+    } else if (kind == SC_PROD3) {
+        mont_mul(v[0], v[1], t);
+        mont_mul(t, v[2], r);
+    } else {
+        mont_mul(v[1], v[2], t);
+        submod(t, v[3], t);
+        mont_mul(v[0], t, r);
+    }
+}
+
+/* Row i of one table <- row i + r (row i+m - row i). */
+static inline void sc_bind(uint64_t *t, size_t i, size_t m,
+                           const uint64_t r[4]) {
+    uint64_t d[4];
+    submod(t + 4 * (i + m), t + 4 * i, d);
+    mont_mul(d, r, d);
+    addmod(t + 4 * i, d, t + 4 * i);
+}
+
+/* acc (5 limbs) += v, unreduced: a round's sums reduce once, at the end. */
+static inline void sc_acc(uint64_t acc[5], const uint64_t v[4]) {
+    u128 c = 0;
+    #pragma GCC unroll 4
+    for (int i = 0; i < 4; i++) {
+        c += (u128)acc[i] + v[i];
+        acc[i] = (uint64_t)c;
+        c >>= 64;
+    }
+    acc[4] += (uint64_t)c;
+}
+
+/* A table's value on the line through rows lo and hi is lo at t = 0,
+ * hi + (hi - lo) at t = 2 and hi + 2 (hi - lo) at t = 3.  Without a bind
+ * (the first round), a pair that is zero in every table adds nothing and
+ * is skipped: padded tables hold long zero runs. */
+static inline void sc_round(int kind, uint64_t *tabs, size_t stride,
+                            size_t n, const uint64_t *rp, uint64_t acc[3][5]) {
+    size_t k = (size_t)kind + 2, m = rp ? n / 2 : n, h = m / 2;
+    uint64_t lo[4][4], v2[4][4], v3[4][4], d[4], s[4], r[4];
+    if (rp) cp4(r, rp);
+    for (size_t i = 0; i < h; i++) {
+        if (!rp) {
+            int zero = 1;
+            for (size_t j = 0; j < k && zero; j++) {
+                const uint64_t *t = tabs + 4 * stride * j;
+                zero = is_zero4(t + 4 * i) && is_zero4(t + 4 * (i + h));
+            }
+            if (zero) continue;
+        }
+        for (size_t j = 0; j < k; j++) {
+            uint64_t *t = tabs + 4 * stride * j;
+            if (rp) { sc_bind(t, i, m, r); sc_bind(t, i + h, m, r); }
+            cp4(lo[j], t + 4 * i);
+            submod(t + 4 * (i + h), lo[j], d);
+            addmod(t + 4 * (i + h), d, v2[j]);
+            if (kind != SC_PROD2) addmod(v2[j], d, v3[j]);
+        }
+        sc_combine(kind, lo, s); sc_acc(acc[0], s);
+        sc_combine(kind, v2, s); sc_acc(acc[1], s);
+        if (kind != SC_PROD2) { sc_combine(kind, v3, s); sc_acc(acc[2], s); }
+    }
+    /* An odd bound length leaves a last row no pair reaches; bind it too,
+     * since after the last round that single row is the final value. */
+    if (rp && (m & 1))
+        for (size_t j = 0; j < k; j++)
+            sc_bind(tabs + 4 * stride * j, m - 1, m, r);
+}
+
+/* One sumcheck round in one pass over the tables.  With r (Montgomery
+ * form) non-NULL it first binds the previous round's challenge in place,
+ * halving n (an odd n drops its last row, as the scalar prover does).
+ * Then, over the pairs (row i, row i + n/2) of the live rows, it writes
+ * the round's sums at t = 0, 2 and 3 to out (12 limbs, canonical; t = 3
+ * reads 0 for kind 0).  Returns -2 for an unknown kind or a table count
+ * that does not match it. */
+int fr_sumcheck_round(int kind, uint64_t *tabs, size_t k, size_t stride,
+                      size_t n, const uint64_t *r, uint64_t *out) {
+    uint64_t acc[3][5];
+    if (kind < SC_PROD2 || kind > SC_EQ_ABC || k != (size_t)kind + 2)
+        return -2;
+    memset(acc, 0, sizeof acc);
+    /* Constant kinds: each loop is compiled for its own summand. */
+    if (kind == SC_PROD2) sc_round(SC_PROD2, tabs, stride, n, r, acc);
+    else if (kind == SC_PROD3) sc_round(SC_PROD3, tabs, stride, n, r, acc);
+    else sc_round(SC_EQ_ABC, tabs, stride, n, r, acc);
+    /* acc = lo + hi 2^256 holds (sum) 2^256, so sum = lo 2^-256 + hi. */
+    for (int e = 0; e < 3; e++) {
+        uint64_t hi[4] = {acc[e][4], 0, 0, 0};
+        mont_mul(acc[e], ONE, out + 4 * e);
+        addmod(out + 4 * e, hi, out + 4 * e);
+    }
+    return 0;
 }
 
 /* ---- BN254 Fq and G1 ------------------------------------------------------
@@ -236,24 +363,10 @@ static const uint64_t Q_ONE[4] = {                 /* 1, Montgomery form */
     0xd35d438dc58f0d9dULL, 0x0a78eb28f5c70b3dULL,
     0x666ea36f7879462cULL, 0x0e0a77c19a07df2fULL,
 };
-static const uint64_t ONE[4] = {1, 0, 0, 0};
-static const uint64_t ZERO[4] = {0, 0, 0, 0};
 
 #define fq_add(a, b, r) addmod_m(a, b, r, Q)
 #define fq_sub(a, b, r) submod_m(a, b, r, Q)
 #define fq_mul(a, b, r) mont_mul_m(a, b, r, Q, QN0)
-
-static inline void cp4(uint64_t *d, const uint64_t *s) {
-    d[0] = s[0]; d[1] = s[1]; d[2] = s[2]; d[3] = s[3];
-}
-
-static inline int eq4(const uint64_t *a, const uint64_t *b) {
-    return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
-}
-
-static inline int is_zero4(const uint64_t *a) {
-    return !(a[0] | a[1] | a[2] | a[3]);
-}
 
 /* a^(q-2) = a^-1 for a != 0 (Fermat). */
 static void fq_inv(const uint64_t a[4], uint64_t r[4]) {
@@ -711,6 +824,12 @@ class NativeFr:
             ("fr_vec_sub", (u64p, u64p, u64p, size), None),
             ("fr_ntt", (u64p, size, u64p), None),
             ("fr_csr_matvec", (i64p, u64p, i64p, size, u64p, u64p), None),
+            ("fr_to_mont", (u64p, u64p, size), None),
+            (
+                "fr_sumcheck_round",
+                (ctypes.c_int, u64p, size, size, size, u64p, u64p),
+                ctypes.c_int,
+            ),
             ("fq_to_mont", (u64p, u64p, size), None),
             ("g1_shifts", (u64p, size, size, size, u64p), ctypes.c_int),
             ("g1_multiples", (u64p, size, size, u64p), ctypes.c_int),
@@ -774,7 +893,41 @@ def _fr_self_test(native: "NativeFr") -> bool:
         native.uptr(arr_a), native.uptr(_limbs([b])),
         native.uptr(out[1:]), 1,
     )
-    return _ints(out) == [a * b % _P] * 2
+    return _ints(out) == [a * b % _P] * 2 and _sumcheck_self_test(native)
+
+
+def _sumcheck_self_test(native: "NativeFr") -> bool:
+    """Two ``eq_abc`` rounds over four 4-row tables (the second binding
+    the first's challenge in place) against Python big ints."""
+    import numpy as np
+
+    r256 = pow(2, 256, _P)
+    rows = [[_P - 1, 3, 0, 7], [5, _P - 2, 11, 1], [2, 9, _P - 7, 4],
+            [8, 0, 6, _P - 3]]
+    tabs = _limbs([v for t in rows for v in t]).reshape(4, 4, 4)
+    native.to_mont(native.uptr(tabs), native.uptr(tabs), 16)
+    r, out = 0x1F2E3D4C5B6A7988 % _P, np.empty((3, 4), dtype=np.uint64)
+
+    def sums(tables):
+        half = len(tables[0]) // 2
+        evals = []
+        for t in (0, 2, 3):
+            v = [[lo + t * (hi - lo) for lo, hi in zip(tb[:half], tb[half:])]
+                 for tb in tables]
+            evals.append(sum(e * (a * b - c) for e, a, b, c in zip(*v)) % _P)
+        return evals
+
+    bound = [[(lo + r * (hi - lo)) % _P for lo, hi in zip(t[:2], t[2:])]
+             for t in rows]
+    rm = _limbs([r * r256 % _P])
+    for n, rp, want in ((4, None, sums(rows)), (4, rm, sums(bound))):
+        rc = native.sumcheck_round(
+            2, native.uptr(tabs), 4, 4, n,
+            None if rp is None else native.uptr(rp), native.uptr(out),
+        )
+        if rc or _ints(out) != want:
+            return False
+    return True
 
 
 # BN254 Fq, the coordinate field of G1.

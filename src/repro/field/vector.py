@@ -51,6 +51,9 @@ __all__ = [
     "vec_mul_scalar",
     "vec_sum",
     "batch_inv",
+    "to_mont",
+    "from_mont",
+    "SumcheckTables",
     "prepare_multipliers",
     "vec_mul_prepared",
     "NTTKernel",
@@ -62,17 +65,23 @@ __all__ = [
 ]
 
 R256 = pow(2, 256, P)
+RINV = inv_mod(R256, P)
 
-# Profitability floors (elements / nonzero terms / sumcheck half-size /
-# eq-table variables): below these the Python<->array conversion overhead
-# beats the kernel win.  Measured on the benchmark host: the sumcheck
-# rounds call ~15 vector ops per round, so their break-even sits far above
-# the NTT's.  An eq table costs ~50 us of call overhead per variable on the
-# vector engine; with the conversion back to ints it breaks even at 8
-# variables (~0.52 vs ~0.56 ms) and wins from 9 (~0.67 vs ~1.08 ms).
+# Profitability floors (elements / nonzero terms / eq-table variables):
+# below these the Python<->array conversion overhead beats the kernel win.
+# An eq table costs ~50 us of call overhead per variable on the vector
+# engine; with the conversion back to ints it breaks even at 8 variables
+# (~0.52 vs ~0.56 ms) and wins from 9 (~0.67 vs ~1.08 ms).  As limbs it
+# breaks even at 7 (178 vs 169 us for the Python table plus one
+# ``to_limbs``) and wins from 8 (197 vs 329 us).  A sumcheck pays ~20 us
+# per round in its C call and the conversion of int tables; it breaks even
+# with the scalar loops at 32 rows (prod2 over int tables 152 vs 144 us,
+# eq_abc 225 vs 299 us) and loses below (16 rows: 121 vs 85 us), so
+# tables of fewer than ``2 * SUMCHECK_MIN_HALF`` rows stay scalar (PERF.md
+# "Fused sumcheck rounds").
 NTT_MIN = 32
 MATVEC_MIN_TERMS = 64
-SUMCHECK_MIN_HALF = 1024
+SUMCHECK_MIN_HALF = 16
 EQ_MIN_VARS = 8
 
 
@@ -218,6 +227,78 @@ def vec_sum(a: "np.ndarray") -> int:
     for i in range(3, -1, -1):
         total = (total << 64) + (int(hi[i]) << 32) + int(lo[i])
     return total % P
+
+
+def to_mont(a: "np.ndarray") -> "np.ndarray":
+    """Canonical limbs (any shape ending in 4) -> Montgomery form
+    (``x * 2**256 mod p``), as a new array."""
+    nat = _native.load()
+    a = _c(a)
+    r = np.empty(a.shape, dtype=np.uint64)
+    nat.to_mont(nat.uptr(a), nat.uptr(r), a.size // 4)
+    return r
+
+
+def from_mont(a: "np.ndarray") -> List[int]:
+    """Montgomery-form limbs -> list of canonical Python ints."""
+    return [v * RINV % P for v in from_limbs(a.reshape(-1, 4))]
+
+
+class SumcheckTables:
+    """The tables of one sumcheck on the fused C round kernel.
+
+    ``tables`` (one kernel's worth: 2 for ``prod2``, 3 for ``prod3``, 4
+    for ``eq_abc``) are sequences of ints or ``(n, 4)`` Montgomery-form
+    limb arrays (:func:`to_mont`).  They are copied once into one
+    ``(k, n, 4)`` Montgomery-form array, which every :meth:`round` binds
+    in place; only a round's three sums come back as ints."""
+
+    KINDS = {"prod2": 0, "prod3": 1, "eq_abc": 2}
+
+    def __init__(self, kernel: str, tables):
+        self.nat = nat = _native.load()
+        self.kind = self.KINDS[kernel]
+        if len(tables) != self.kind + 2:
+            raise ValueError(f"kernel {kernel!r} takes {self.kind + 2} tables")
+        self.n = len(tables[0])
+        tabs = np.empty((len(tables), self.n, 4), dtype=np.uint64)
+        for dst, t in zip(tabs, tables):
+            dst[:] = t if isinstance(t, np.ndarray) else to_mont(to_limbs(t))
+        self.tabs = tabs
+        self._r = np.empty(4, dtype=np.uint64)
+        self._out = np.empty((3, 4), dtype=np.uint64)
+        self._ptrs = tuple(map(nat.uptr, (tabs, self._r, self._out)))
+
+    def _call(self, r: Optional[int]) -> None:
+        tabs, rp, out = self._ptrs
+        if r is not None:
+            self._r[:] = np.frombuffer(
+                (r % P * R256 % P).to_bytes(32, "little"), dtype="<u8"
+            )
+        if self.nat.sumcheck_round(
+            self.kind, tabs, self.tabs.shape[0], self.tabs.shape[1], self.n,
+            None if r is None else rp, out,
+        ):
+            raise ValueError("the sumcheck round kernel rejected its tables")
+        if r is not None:
+            self.n //= 2
+
+    def round(self, r: Optional[int] = None) -> Tuple[int, int, int]:
+        """Bind ``r`` (the previous round's challenge, if any) in place,
+        then return the new round's sums at ``t = 0, 2, 3`` (``t = 3`` is
+        0 for ``prod2``)."""
+        self._call(r)
+        e0, e2, e3 = from_limbs(self._out)
+        return e0, e2, e3
+
+    def bind(self, r: int) -> None:
+        """Bind the last round's challenge."""
+        self._call(r)
+
+    def finals(self) -> List[int]:
+        """Row 0 of every table, canonical: the final values once all
+        variables are bound."""
+        return from_mont(self.tabs[:, 0])
 
 
 def batch_inv(a: "np.ndarray") -> "np.ndarray":

@@ -31,11 +31,13 @@ into the CRS at setup; Spartan derives it in-protocol).
 from __future__ import annotations
 
 import hashlib
+from operator import mul
 from typing import List, Optional, Sequence
 
+from ..field import vector as _vector
 from ..field.prime_field import BN254_FR_MODULUS
 from ..r1cs.builder import ConstraintSystem, derive_z
-from ..r1cs.lincomb import LC
+from ..r1cs.lincomb import LC, z_powers
 
 R = BN254_FR_MODULUS
 
@@ -49,6 +51,19 @@ ZEN_BASE = 1 << 64
 def _as_rows(mat, rows: int, cols: int) -> List[List[int]]:
     out = [[int(mat[i][j]) % R for j in range(cols)] for i in range(rows)]
     return out
+
+
+_HALF_R = R // 2
+_INT64_LIMIT = 1 << 63
+
+
+def _signed(rows: List[List[int]]) -> List[List[int]]:
+    """Reduced entries folded back into ``(-R/2, R/2]``."""
+    return [[v - R if v > _HALF_R else v for v in row] for row in rows]
+
+
+def _max_abs(rows: List[List[int]]) -> int:
+    return max((max(map(abs, row), default=0) for row in rows), default=0)
 
 
 class MatmulCircuit:
@@ -108,6 +123,20 @@ class MatmulCircuit:
         )
 
     def _product_rows(self, x, w) -> List[List[int]]:
+        """``x @ w`` over reduced rows: exact int64 numpy lanes when the
+        entries fold to signed values small enough that no sum of ``n``
+        products can overflow (``n * max|x| * max|w| < 2**63``), else the
+        Python loop of :meth:`_product_rows_py`, which stays the oracle."""
+        if _vector.HAVE_NUMPY:
+            xs, ws = _signed(x), _signed(w)
+            bound = self.n * _max_abs(xs) * _max_abs(ws)
+            if bound < _INT64_LIMIT:
+                np = _vector.np
+                prod = np.array(xs, dtype=np.int64) @ np.array(ws, dtype=np.int64)
+                return [[v % R for v in row] for row in prod.tolist()]
+        return self._product_rows_py(x, w)
+
+    def _product_rows_py(self, x, w) -> List[List[int]]:
         a, n, b = self.a, self.n, self.b
         return [
             [sum(x[i][k] * w[k][j] for k in range(n)) % R for j in range(b)]
@@ -318,10 +347,13 @@ class MatmulCircuit:
 
     def _fill_crpc_psq(self, x, w, y, z) -> None:
         a, n, b = self.a, self.n, self.b
+        # The packing weights z^(i*b) of X's column and z^j of W's row.
+        x_pows = z_powers(pow(z, b, R), a - 1)
+        w_pows = z_powers(z, b - 1)
         acc = 0
         for k in range(n - 1):
-            xk = sum(pow(z, i * b, R) * x[i][k] for i in range(a)) % R
-            wk = sum(pow(z, j, R) * w[k][j] for j in range(b)) % R
+            xk = sum(map(mul, x_pows, (x[i][k] for i in range(a)))) % R
+            wk = sum(map(mul, w_pows, w[k])) % R
             acc = (acc + xk * wk) % R
             self.cs.set_value(self._acc_wires[k], acc)
 

@@ -78,10 +78,14 @@ def eq_evals(point: Sequence[int]) -> List[int]:
     indicator; Spartan multiplies the R1CS identity by it so the sumcheck
     pins down every row rather than only the sum.  Tables of
     ``2**vector.EQ_MIN_VARS`` entries and more are built on the vector
-    engine; the loop below is the oracle.
+    engine; the loop in :func:`_eq_table` is the oracle.
     """
     if len(point) >= _vector.EQ_MIN_VARS and _vector.active_impl() is not None:
         return _vector.from_limbs(eq_evals_limbs(point))
+    return _eq_table(point)
+
+
+def _eq_table(point: Sequence[int]) -> List[int]:
     table = [1]
     for r in point:
         r %= R
@@ -90,11 +94,16 @@ def eq_evals(point: Sequence[int]) -> List[int]:
     return table
 
 
-def eq_evals_limbs(point: Sequence[int]):
-    """:func:`eq_evals` as limbs: each variable splits every entry ``t``
-    into ``t (1 - r)`` and ``t r``, interleaved (``r`` is the low bit)."""
+def eq_evals_limbs(point: Sequence[int], one: int = 1):
+    """:func:`eq_evals` times ``one`` as limbs (pass ``vector.R256`` for
+    Montgomery form): each variable splits every entry ``t`` into ``t (1 -
+    r)`` and ``t r``, interleaved (``r`` is the low bit).  Below
+    ``vector.EQ_MIN_VARS`` variables the Python table converted once is
+    the faster build."""
+    if len(point) < _vector.EQ_MIN_VARS:
+        return _vector.to_limbs([v * one % R for v in _eq_table(point)])
     np = _vector.np
-    table = _vector.to_limbs([1])
+    table = _vector.to_limbs([one % R])
     for r in point:
         high = _vector.vec_mul_scalar(table, r)
         nxt = np.empty((2 * len(table), 4), dtype=np.uint64)

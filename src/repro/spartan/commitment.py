@@ -43,6 +43,7 @@ from ..curve.bn254 import AffinePoint, CURVE_ORDER, eq, is_on_curve
 from ..curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from ..curve.msm import msm
 from ..field.extension import P as FQ_MODULUS
+from ..field import vector as _vector
 from ..field.prime_field import sqrt_mod
 from ..poly.multilinear import eq_evals
 
@@ -186,10 +187,14 @@ class HyraxOpening:
 
 
 class HyraxProver:
-    """Holds the committed vector and its blinders for later openings."""
+    """Holds the committed vector and its blinders for later openings.
+
+    ``limbs``, if the caller has them, are ``vec`` as canonical ``(n, 4)``
+    limbs; on the vector engine :meth:`open` combines the rows from them
+    (else from one conversion of its own)."""
 
     def __init__(self, vec: Sequence[int], num_vars: int,
-                 rng: Optional[Callable[[], int]] = None):
+                 rng: Optional[Callable[[], int]] = None, limbs=None):
         if rng is None:
             rng = lambda: secrets.randbelow(R)  # noqa: E731
         size = 1 << num_vars
@@ -204,6 +209,38 @@ class HyraxProver:
             for i in range(1 << self.row_vars)
         ]
         self.blinders = [rng() % R for _ in self.rows]
+        self._len = len(vec)
+        self._limbs = limbs
+
+    def _combine_rows(self, weights: Sequence[int]) -> List[int]:
+        """``t = sum_i weights[i] * row_i``: on the vector engine one CSR
+        matvec whose row ``j`` takes column ``j`` of the rows that hold the
+        vector (the zero padding rows add nothing), with every weight in
+        Montgomery form."""
+        ncols = 1 << self.col_vars
+        if _vector.active_impl() is None:
+            t = [0] * ncols
+            for weight, row in zip(weights, self.rows):
+                if weight == 0:
+                    continue
+                for j, v in enumerate(row):
+                    t[j] = (t[j] + weight * v) % R
+            return t
+        np = _vector.np
+        live = -(-self._len // ncols)
+        vals = self._limbs
+        if vals is None:
+            vals = self._limbs = _vector.to_limbs(self.values[:self._len])
+        z = np.zeros((live * ncols, 4), dtype=np.uint64)
+        z[: self._len] = vals
+        wires = np.arange(live * ncols).reshape(live, ncols).T
+        coeffs = _vector.prepare_multipliers(weights[:live])
+        kern = _vector.CSRKernel(
+            wires.ravel(),
+            coeffs[np.tile(np.arange(live), ncols)],
+            np.arange(0, live * ncols + 1, live),
+        )
+        return _vector.from_limbs(kern.matvec_limbs(z))
 
     def commit(self) -> HyraxCommitment:
         # All rows share the canonical generators, so the whole matrix
@@ -229,13 +266,7 @@ class HyraxProver:
             raise ValueError("point arity mismatch")
         left = eq_evals(point[: self.row_vars])
         right = eq_evals(point[self.row_vars:])
-        ncols = 1 << self.col_vars
-        t = [0] * ncols
-        for weight, row in zip(left, self.rows):
-            if weight == 0:
-                continue
-            for j, v in enumerate(row):
-                t[j] = (t[j] + weight * v) % R
+        t = self._combine_rows(left)
         blinder = sum(
             w * b for w, b in zip(left, self.blinders)
         ) % R

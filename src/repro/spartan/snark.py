@@ -108,43 +108,76 @@ def _column_evals(
     return m_eval % R, dot(pub, eq[:npub]) % R
 
 
+def _engaged(instance: R1CSInstance) -> bool:
+    """True when the vector engine's CSR kernels serve A, B, C and the
+    transposed stack, so the prover can stay in limbs throughout."""
+    return all(instance.flat(w).vec_kernel() is not None for w in "ABCT")
+
+
+def _padded(v, rows: int):
+    """Limb rows ``v`` zero-padded to ``rows`` rows."""
+    out = vector.np.zeros((rows, 4), dtype=vector.np.uint64)
+    out[: len(v)] = v
+    return out
+
+
+def _split(v, npub: int, half: int):
+    """The padded column layout ``[v[:npub], 0... | v[npub:], 0...]`` of
+    limb rows ``v``, each leg ``half`` rows."""
+    out = vector.np.zeros((2 * half, 4), dtype=vector.np.uint64)
+    out[:npub] = v[:npub]
+    out[half:half + len(v) - npub] = v[npub:]
+    return out
+
+
 def prove(
     instance: R1CSInstance,
     assignment: Sequence[int],
     transcript: Transcript,
 ) -> SpartanProof:
+    """Prove ``instance`` satisfied by ``assignment``.
+
+    When the vector engine serves every matrix, the assignment becomes
+    limbs once: canonical for the witness commitment's opening, Montgomery
+    form for everything the sumchecks read.  The CSR kernels keep a
+    Montgomery-form input in Montgomery form, so Az, Bz, Cz, the column
+    table and the padded z-table stay there until the sumchecks hand
+    back their final values; no int list is built in between."""
     if len(assignment) != instance.num_wires:
         raise ValueError("assignment length mismatch")
     cons_padded, half, full = _shape(instance)
     cons_vars = cons_padded.bit_length() - 1
     col_vars = full.bit_length() - 1
     npub = instance.num_public
+    limbs = vector.to_limbs(assignment) if _engaged(instance) else None
 
     # 1. Commit to the witness MLE.
     witness = [v % R for v in assignment[npub:]]
-    hyrax = HyraxProver(witness, col_vars - 1)
+    hyrax = HyraxProver(
+        witness, col_vars - 1, limbs=None if limbs is None else limbs[npub:]
+    )
     commitment = hyrax.commit()
     transcript.append_points(b"witness-commit", commitment.row_commits)
 
     # 2. Sumcheck #1 over the constraint rows.
     tau = transcript.challenge_scalars(b"tau", cons_vars)
-    az = instance.matvec("A", assignment) + [0] * (
-        cons_padded - instance.num_constraints
-    )
-    bz = instance.matvec("B", assignment) + [0] * (
-        cons_padded - instance.num_constraints
-    )
-    cz = instance.matvec("C", assignment) + [0] * (
-        cons_padded - instance.num_constraints
-    )
-    eq_tau = eq_evals(tau)
+    if limbs is None:
+        pad = [0] * (cons_padded - instance.num_constraints)
+        tables1 = [eq_evals(tau)] + [
+            instance.matvec(w, assignment) + pad for w in "ABC"
+        ]
+    else:
+        zm = vector.to_mont(limbs)
+        tables1 = [eq_evals_limbs(tau, vector.R256)] + [
+            _padded(instance.matvec_limbs(w, zm), cons_padded) for w in "ABC"
+        ]
 
     def combine1(vals: Sequence[int]) -> int:
         e, a, b, c = vals
         return e * ((a * b - c) % R) % R
 
     sc1, rx, finals1 = sumcheck_prove(
-        [eq_tau, az, bz, cz], combine1, 3, 0, transcript, b"sc1",
+        tables1, combine1, 3, 0, transcript, b"sc1",
         kernel="eq_abc",
     )
     va, vb, vc = finals1[1], finals1[2], finals1[3]
@@ -155,10 +188,17 @@ def prove(
     claim2 = (r_abc[0] * va + r_abc[1] * vb + r_abc[2] * vc) % R
 
     # Padded z-vector layout: [1, public..., 0 pad | witness..., 0 pad].
-    pads = [0] * (half - npub), [0] * (half - len(witness))
-    m_wires = instance.transpose_matvec(r_abc, eq_evals(rx))
-    m_table = m_wires[:npub] + pads[0] + m_wires[npub:] + pads[1]
-    z_table = [v % R for v in assignment[:npub]] + pads[0] + witness + pads[1]
+    if limbs is None:
+        pads = [0] * (half - npub), [0] * (half - len(witness))
+        m_wires = instance.transpose_matvec(r_abc, eq_evals(rx))
+        m_table = m_wires[:npub] + pads[0] + m_wires[npub:] + pads[1]
+        z_table = [v % R for v in assignment[:npub]] + pads[0] + witness + pads[1]
+    else:
+        # Montgomery-form scales give a Montgomery-form column table.
+        m_wires = instance.transpose_matvec_limbs(
+            [s * vector.R256 % R for s in r_abc], eq_evals(rx)
+        )
+        m_table, z_table = _split(m_wires, npub, half), _split(zm, npub, half)
 
     def combine2(vals: Sequence[int]) -> int:
         return vals[0] * vals[1] % R

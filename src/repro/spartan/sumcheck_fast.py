@@ -15,6 +15,13 @@ bind.  This module removes all three costs:
   run as tight integer loops with one modular reduction per accumulator
   per round instead of one per term.
 
+On the vector engine a selected kernel goes further: the tables enter
+Montgomery form once and every round — bind the previous challenge, sum
+the new round at ``t = 0, 2, 3`` — is one C pass
+(:class:`repro.field.vector.SumcheckTables`, the linear-time prover of
+Thaler, CRYPTO 2013).  Only the round's values come back to Python, for
+the transcript and the next claim.
+
 The public ``sumcheck_prove`` here is re-exported through ``sumcheck.py``,
 so every caller picks it up transparently; ``sumcheck.py`` keeps the naive
 reference implementation for equivalence tests and benchmarks.
@@ -180,78 +187,37 @@ _KERNELS = {
 }
 
 
-# -- vector-engine round kernels ---------------------------------------------
-#
-# Limb-domain twins of the scalar kernels above.  Every accumulator is an
-# exact sum of canonical residues (``vec_sum`` folds 32-bit half-limb column
-# sums through one Python int), so each round's evaluation list — and hence
-# the transcript and proof bytes — is identical to the scalar kernels'.
-# ``t`` extensions use the identity ``k*hi - (k-1)*lo = hi + (k-1)*(hi-lo)``:
-# one vec_sub per table yields both the t=2 and t=3 lines with adds only.
-
-def _vec_lines(t, half):
-    """``(lo, line2, line3, diff)`` rows for one table: the table values at
-    the bound variable = 0, 2, 3 (and the hi-lo difference)."""
-    lo, hi = t[:half], t[half:]
-    d = _vector.vec_sub(hi, lo)
-    l2 = _vector.vec_add(hi, d)
-    l3 = _vector.vec_add(l2, d)
-    return lo, l2, l3, d
-
-
-def _vec_round_prod2(tables, half, claim):
-    (al, a2, _a3, _), (bl, b2, _b3, _) = (
-        _vec_lines(t, half) for t in tables
-    )
-    e0 = _vector.vec_sum(_vector.vec_mul(al, bl))
-    e2 = _vector.vec_sum(_vector.vec_mul(a2, b2))
-    return [e0, (claim - e0) % R, e2]
+def _prove_native(tables, kernel, degree, claim, transcript, label):
+    """The kernel-selected prover on the vector engine: the tables enter
+    Montgomery form once and every round is one C call that binds the
+    previous challenge and sums the new round.  Only the round's few
+    values cross back into Python for the transcript."""
+    tabs = _vector.SumcheckTables(kernel, tables)
+    proof = SumcheckProof()
+    r_point: List[int] = []
+    current_claim = claim % R
+    r = None
+    for _rnd in range(len(tables[0]).bit_length() - 1):
+        e0, e2, e3 = tabs.round(r)
+        evals = [e0, (current_claim - e0) % R, e2, e3][: degree + 1]
+        proof.round_polys.append(evals)
+        transcript.append_scalars(label + b"/round", evals)
+        r = transcript.challenge_scalar(label + b"/challenge")
+        r_point.append(r)
+        current_claim = _interpolate_eval(evals, r)
+    tabs.bind(r)
+    return proof, r_point, tabs.finals()
 
 
-def _vec_round_prod3(tables, half, claim):
-    (al, a2, a3, _), (bl, b2, b3, _), (cl, c2, c3, _) = (
-        _vec_lines(t, half) for t in tables
-    )
-    e0 = _vector.vec_sum(_vector.vec_mul(_vector.vec_mul(al, bl), cl))
-    e2 = _vector.vec_sum(_vector.vec_mul(_vector.vec_mul(a2, b2), c2))
-    e3 = _vector.vec_sum(_vector.vec_mul(_vector.vec_mul(a3, b3), c3))
-    return [e0, (claim - e0) % R, e2, e3]
-
-
-def _vec_round_eq_abc(tables, half, claim):
-    (el, e2t, e3t, _), (al, a2, a3, _), (bl, b2, b3, _), (cl, c2, c3, _) = (
-        _vec_lines(t, half) for t in tables
-    )
-    e0 = _vector.vec_sum(
-        _vector.vec_mul(el, _vector.vec_sub(_vector.vec_mul(al, bl), cl))
-    )
-    e2 = _vector.vec_sum(
-        _vector.vec_mul(e2t, _vector.vec_sub(_vector.vec_mul(a2, b2), c2))
-    )
-    e3 = _vector.vec_sum(
-        _vector.vec_mul(e3t, _vector.vec_sub(_vector.vec_mul(a3, b3), c3))
-    )
-    return [e0, (claim - e0) % R, e2, e3]
-
-
-_VEC_KERNELS = {
-    "prod2": _vec_round_prod2,
-    "prod3": _vec_round_prod3,
-    "eq_abc": _vec_round_eq_abc,
-}
-
-
-def _vec_bind(t, half, r):
-    """Limb-domain :func:`_bind_tables` for one table:
-    ``lo + r * (hi - lo)``, truncated to ``half`` rows."""
-    lo, hi = t[:half], t[half:]
-    return _vector.vec_add(
-        lo, _vector.vec_mul_scalar(_vector.vec_sub(hi, lo), r)
-    )
+def _int_table(t) -> List[int]:
+    """A fresh list-of-ints copy of one table."""
+    if _vector.HAVE_NUMPY and isinstance(t, _vector.np.ndarray):
+        return _vector.from_mont(t)
+    return list(t)
 
 
 def sumcheck_prove(
-    tables: List[List[int]],
+    tables,
     combine: Combine,
     degree: int,
     claim: int,
@@ -261,12 +227,20 @@ def sumcheck_prove(
 ) -> Tuple[SumcheckProof, List[int], List[int]]:
     """Run the prover side (fast path).
 
-    ``tables`` are equal-length power-of-two evaluation tables; ``combine``
-    maps one value per table to the summand; ``degree`` bounds the per-round
-    degree in the bound variable.  ``kernel`` selects a specialized
-    no-callback round kernel (``"prod2"``, ``"prod3"``, ``"eq_abc"``) whose
-    combine the caller guarantees matches; it must agree with ``tables`` and
-    ``degree`` or a ``ValueError`` is raised.
+    ``tables`` are equal-length power-of-two evaluation tables, each a
+    sequence of ints or an ``(n, 4)`` Montgomery-form limb array
+    (``vector.to_mont``, as the Spartan prover builds them); ``combine``
+    maps one value
+    per table to the summand; ``degree`` bounds the per-round degree in
+    the bound variable.  ``kernel`` selects a specialized no-callback
+    round kernel (``"prod2"``, ``"prod3"``, ``"eq_abc"``) whose combine
+    the caller guarantees matches; it must agree with ``tables`` and
+    ``degree`` or a ``ValueError`` is raised.  On the vector engine a
+    selected kernel runs every round in C (tables of at least
+    ``2 * vector.SUMCHECK_MIN_HALF`` rows); the scalar loops above are
+    the ``REPRO_FIELD_BACKEND=scalar`` path and the oracle.  Both emit
+    the same round evaluations, so the proof bytes do not depend on the
+    engine.
 
     Unlike the reference prover (which never reads it), ``claim`` is
     load-bearing here: the round-claim shortcut derives ``s(1)`` from it,
@@ -291,50 +265,30 @@ def sumcheck_prove(
                 f"kernel {kernel!r} expects {want_tables} tables of "
                 f"degree {want_degree}"
             )
+        if (
+            _vector.active_impl() is not None
+            and size // 2 >= _vector.SUMCHECK_MIN_HALF
+        ):
+            return _prove_native(
+                tables, kernel, degree, claim, transcript, label
+            )
     num_rounds = size.bit_length() - 1
-    # The specialised kernels have limb-domain twins: big rounds run over
-    # (n, 4) limb arrays through the vector engine and drop back to the
-    # scalar loops once the tables shrink below the engine's profitability
-    # floor.  Both paths emit identical round evaluations (vec_sum is an
-    # exact column sum), so the transcript never notices the switch.
-    vec_fn = _VEC_KERNELS.get(kernel) if round_fn is not None else None
-    vtables = None
-    if (
-        vec_fn is not None
-        and _vector.active_impl() is not None
-        and size // 2 >= _vector.SUMCHECK_MIN_HALF
-    ):
-        vtables = [_vector.to_limbs(t) for t in tables]
-        tables = []
-    else:
-        tables = [list(t) for t in tables]  # copy once; rounds bind in place
+    tables = [_int_table(t) for t in tables]  # rounds bind in place
     proof = SumcheckProof()
     r_point: List[int] = []
     current_claim = claim % R
 
     for _rnd in range(num_rounds):
-        if vtables is not None:
-            half = vtables[0].shape[0] // 2
-            evals = vec_fn(vtables, half, current_claim)
+        half = len(tables[0]) // 2
+        if round_fn is not None:
+            evals = round_fn(tables, half, current_claim)
         else:
-            half = len(tables[0]) // 2
-            if round_fn is not None:
-                evals = round_fn(tables, half, current_claim)
-            else:
-                evals = _round_generic(
-                    tables, half, current_claim, combine, degree
-                )
+            evals = _round_generic(tables, half, current_claim, combine, degree)
         proof.round_polys.append(evals)
         transcript.append_scalars(label + b"/round", evals)
         r = transcript.challenge_scalar(label + b"/challenge")
         r_point.append(r)
-        if vtables is not None:
-            vtables = [_vec_bind(t, half, r) for t in vtables]
-            if half // 2 < _vector.SUMCHECK_MIN_HALF:
-                tables = [_vector.from_limbs(t) for t in vtables]
-                vtables = None
-        else:
-            _bind_tables(tables, half, r)
+        _bind_tables(tables, half, r)
         current_claim = _interpolate_eval(evals, r)
 
     finals = [t[0] for t in tables]

@@ -214,6 +214,7 @@ class TestConnectionPool:
         assert again.reused
         assert pool.stats()["connects"] == 1
         assert pool.stats()["reuses"] == 1
+        assert pool.stats()["workers_dialled"] == 1
         pool.close()
 
     def test_idle_reap_then_reconnect(self, acceptor):
@@ -230,6 +231,9 @@ class TestConnectionPool:
         assert stats["reaped"] == 1
         assert stats["connects"] == 2
         assert stats["reuses"] == 0
+        # The redial is a dial beyond one per worker: the bench's pooling
+        # canary (``remote_extra_dials``) would count it.
+        assert stats["connects"] - stats["workers_dialled"] == 1
         pool.close()
 
     def test_idle_list_is_bounded(self, acceptor):
@@ -469,6 +473,7 @@ class TestAuthenticatedFleet:
                     executor.pool.release(conn)
                 stats = executor.transport_stats()
                 assert stats["connects"] == 2  # one per worker
+                assert stats["workers_dialled"] == 2
                 assert stats["reuses"] == 10
             finally:
                 executor.shutdown()

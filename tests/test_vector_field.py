@@ -238,16 +238,15 @@ class TestCSRMatvec:
 
 @impl_param
 class TestSumcheckEquivalence:
-    @pytest.mark.parametrize("kernel,num_tables", [
-        ("prod2", 2), ("prod3", 3), ("eq_abc", 4),
-    ])
-    def test_rounds_match_scalar(
-        self, impl, kernel, num_tables, rng, monkeypatch
-    ):
+    """The fused C rounds (floor lowered to 1, so every size runs them)
+    against the scalar loops.  tests/test_sumcheck_native.py holds the
+    oracle suite against the reference prover."""
+
+    @staticmethod
+    def _check(kernel, num_tables, n, rng, monkeypatch):
         from repro.spartan.sumcheck_fast import _KERNELS, sumcheck_prove
         from repro.spartan.transcript import Transcript
 
-        n = 64
         tables = [[rng.randrange(R) for _ in range(n)] for _ in range(num_tables)]
         _, _, degree = _KERNELS[kernel]
         if kernel == "prod2":
@@ -272,6 +271,23 @@ class TestSumcheckEquivalence:
         assert got[0].round_polys == want[0].round_polys
         assert got[1] == want[1]
         assert got[2] == want[2]
+
+    @pytest.mark.parametrize("kernel,num_tables", [
+        ("prod2", 2), ("prod3", 3), ("eq_abc", 4),
+    ])
+    def test_rounds_match_scalar(
+        self, impl, kernel, num_tables, rng, monkeypatch
+    ):
+        self._check(kernel, num_tables, 64, rng, monkeypatch)
+
+    @pytest.mark.parametrize("kernel,num_tables", [
+        ("prod2", 2), ("prod3", 3), ("eq_abc", 4),
+    ])
+    @pytest.mark.parametrize("n", [2, 8, 512])
+    def test_rounds_match_scalar_sizes(
+        self, impl, kernel, num_tables, n, rng, monkeypatch
+    ):
+        self._check(kernel, num_tables, n, rng, monkeypatch)
 
 
 class TestBackendSelection:
