@@ -750,7 +750,7 @@ def merge_baseline(path: str, results: Dict[str, object]) -> Dict[str, object]:
 
 def _host_meta(quick: bool) -> Dict[str, object]:
     """Host facts a comparison needs: ``cpu_count`` lets the regression
-    gate demote process-pool deltas to warnings across differing core
+    gate demote worker-fleet deltas to warnings across differing core
     counts; the backend/impl fields say which field engine produced the
     fast-path numbers."""
     try:

@@ -6,20 +6,21 @@ jobs three ways:
 * ``naive_ops_per_sec`` — the seed-style loop: every job builds a fresh
   prover (its own circuit build + trusted setup), proves, and is verified
   with its own full pairing check;
-* ``fast_ops_per_sec`` — one ``ProvingService`` batch on the (GIL-bound)
-  thread executor: setup and fixed-base tables amortised across the
-  group, bundles serialized to wire format, and the whole batch checked
-  with one small-exponent ``batch_verify``;
+* ``fast_ops_per_sec`` — one ``ProvingService`` batch on the serial
+  executor: setup and fixed-base tables amortised across the group,
+  bundles serialized to wire format, and the whole batch checked with one
+  small-exponent ``batch_verify``;
 * ``process_ops_per_sec`` — the same batch on the process executor: the
-  group is sharded across worker processes that rehydrate the keypair
-  from a disk keystore and return wire bundles.  This is the PR-3
-  multi-core number and must not fall behind the thread executor on
+  service forks its own fleet of loopback workers at the first dispatch
+  (inside the timer), shards the group across them, and they read the
+  keypair from a disk keystore and return wire bundles.  This is the
+  multi-core number and must not fall behind the serial executor on
   multi-core machines.
 * ``remote_ops_per_sec`` — the same chunks dispatched over TCP to a
-  loopback fleet of worker processes (``repro.core.remote``), keys
-  rehydrated from a shared disk keystore.  Fleet startup happens outside
-  the timer; the number prices the frame/socket hop against the process
-  pool's pipe hop.  The timed window serves several consecutive batches
+  standing loopback fleet (``repro.core.remote_worker.LocalFleet``) that
+  the service does not own, keys read from a shared disk keystore.
+  Fleet startup happens outside the timer, so the number prices the
+  steady-state socket hop.  The timed window serves several consecutive batches
   through ONE service so the connection pool's socket reuse is actually
   on the measured path.  ``remote_extra_dials`` (dials beyond one per
   worker dialled, the most over the repeats) is recorded alongside and
@@ -93,7 +94,9 @@ def _bench_service(jobs) -> float:
     """Grouped serving: shared artifacts, wire bundles, batch verification."""
     registry = CircuitRegistry()
     keystore = KeyStore(registry=registry)
-    service = ProvingService(workers=2, registry=registry, keystore=keystore)
+    service = ProvingService(
+        workers=2, registry=registry, keystore=keystore, executor="serial"
+    )
     t0 = time.perf_counter()
     for a, n, b, x, w in jobs:
         service.submit(x, w, backend="groth16")
@@ -108,8 +111,8 @@ def _bench_service(jobs) -> float:
 
 
 def _bench_service_process(jobs) -> float:
-    """Process-pool serving: the single circuit group sharded across
-    worker processes, keys rehydrated from a disk keystore."""
+    """Owned-fleet serving: the single circuit group sharded across the
+    service's forked loopback workers, keys read from a disk keystore."""
     with tempfile.TemporaryDirectory(prefix="bench-keystore-") as root:
         registry = CircuitRegistry()
         keystore = KeyStore(root=root, registry=registry)
@@ -124,11 +127,14 @@ def _bench_service_process(jobs) -> float:
                 workers=PROCESS_WORKERS, min_dispatch_seconds=0.0
             ),
         )
-        t0 = time.perf_counter()
-        for a, n, b, x, w in jobs:
-            service.submit(x, w, backend="groth16")
-        report = service.run(verify=True)
-        elapsed = time.perf_counter() - t0
+        try:
+            t0 = time.perf_counter()
+            for a, n, b, x, w in jobs:
+                service.submit(x, w, backend="groth16")
+            report = service.run(verify=True)
+            elapsed = time.perf_counter() - t0
+        finally:
+            service.close()
         assert not report.errors, report.errors
         assert len(report.results) == len(jobs)
         assert report.verified
@@ -147,10 +153,11 @@ def _bench_service_remote(jobs, batches: int = REMOTE_BATCHES) -> Dict[str, floa
     steady state being priced includes the connection pool's reuse, not
     just the first dial.  Returns the elapsed wall plus the observed
     connects-per-proof and dials beyond one per worker dialled."""
-    from repro.core.remote_worker import launch_loopback_workers, stop_workers
+    from repro.core.remote_worker import LocalFleet
 
     with tempfile.TemporaryDirectory(prefix="bench-keystore-") as root:
-        addrs, procs = launch_loopback_workers(PROCESS_WORKERS, keystore_root=root)
+        fleet = LocalFleet(PROCESS_WORKERS, keystore_root=root)
+        addrs = fleet.addrs
         try:
             registry = CircuitRegistry()
             keystore = KeyStore(root=root, registry=registry)
@@ -183,7 +190,7 @@ def _bench_service_remote(jobs, batches: int = REMOTE_BATCHES) -> Dict[str, floa
             finally:
                 service.close()
         finally:
-            stop_workers(procs)
+            fleet.close()
     return {
         "elapsed": elapsed,
         "jobs": float(served),
@@ -333,8 +340,8 @@ def main(argv=None) -> int:
             f"{entry['remote_connects_per_proof']:.3f} connects/proof, "
             f"{entry['remote_extra_dials']} extra dials), "
             f"process {entry['process_ops_per_sec']:.2f} proofs/s "
-            f"({proc_ratio:.2f}x thread), "
-            f"thread {entry['fast_ops_per_sec']:.2f} proofs/s, "
+            f"({proc_ratio:.2f}x serial), "
+            f"serial {entry['fast_ops_per_sec']:.2f} proofs/s, "
             f"sequential {entry['naive_ops_per_sec']:.2f} proofs/s "
             f"({ratio:.2f}x)"
         )

@@ -38,12 +38,14 @@ sys.path.insert(
 from bench_prover_hotpaths import DEFAULT_OUT, run_benchmarks  # noqa: E402
 
 # Only the fast paths gate: reference/naive numbers are informational.
-# ``process_ops_per_sec`` (service section) gates the process-pool
-# executor: committed on a single-core machine where it sits at thread
-# parity, so any multi-core runner only ever beats it — when the core
-# counts recorded in ``meta.cpu_count`` differ, its regressions demote to
-# warnings (see ``main``).  ``remote_ops_per_sec`` gates the TCP
-# loopback fleet the same way (its workers scale with the core count).
+# In the service section ``fast_ops_per_sec`` gates the serial executor,
+# and ``process_ops_per_sec`` the process executor, whose service forks
+# and owns a loopback worker fleet: committed on a single-core machine
+# where it sits at serial parity, so any multi-core runner only ever
+# beats it — when the core counts recorded in ``meta.cpu_count`` differ,
+# its regressions demote to warnings (see ``main``).
+# ``remote_ops_per_sec`` gates a standing loopback fleet the service does
+# not own, the same way (its workers scale with the core count).
 # ``batched_ops_per_sec`` (ntt section) gates the shared-plan ``ntt_many``
 # path that the Groth16 quotient pipeline rides.
 # The ``vector_*`` metrics (field section) gate the vectorized field
@@ -96,7 +98,7 @@ _GATED_METRICS = (
 # whenever the chunks of a batch spread over both loopback workers.
 _GATED_ZERO = ("remote_extra_dials",)
 
-# The pool metrics (process workers, loopback remote fleet) scale with
+# The fleet metrics (owned and standing loopback fleets) scale with
 # core count; comparing across differently-cored hosts prices the
 # hardware, not the code.
 _CORE_SCALED = ("process_ops_per_sec", "remote_ops_per_sec")

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .faultinject import FaultPlan, FaultSpec, scoped_env
 from .remote import ConnectionPool, RemoteProvingExecutor, WorkerRegistry
+from .remote_worker import LocalFleet
 from .resilience import (
     BARE_POLICY,
     BreakerConfig,
@@ -50,7 +51,7 @@ from .crpc import (
     pack_y,
     theory_counts,
 )
-from .pool import GroupChunkPolicy, PoolOutcome, ProcessProvingExecutor
+from .pool import GroupChunkPolicy, PoolOutcome
 from .psq import LeftWireReport, left_wire_report, prefix_sums, psq_reduction_factor
 from .service import (
     EXECUTORS,
@@ -81,10 +82,10 @@ __all__ = [
     "JobResult",
     "KeyStore",
     "LeftWireReport",
+    "LocalFleet",
     "MissingKey",
     "PoisonJob",
     "PoolOutcome",
-    "ProcessProvingExecutor",
     "ProvingError",
     "RemoteProvingExecutor",
     "RetryPolicy",

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 from ..gadgets.matmul import STRATEGIES
 from .artifacts import CircuitRegistry, KeyStore, default_keystore, default_registry
 from .backends import backend_names, get_backend
-from .bundle import MatmulProofBundle, matrix_bytes
+from .bundle import MatmulProofBundle
 
 # Backwards-compatible constant: the built-in backends, frozen at import.
 # The registry is the source of truth — call ``backend_names()`` for a
@@ -58,9 +58,6 @@ __all__ = [
     "prove_matmul",
     "verify_matmul",
 ]
-
-_matrix_bytes = matrix_bytes  # legacy name
-
 
 class MatmulVerifier:
     """Stateless detached verifier — never triggers setup.

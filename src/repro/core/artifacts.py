@@ -89,10 +89,10 @@ class KeyStore:
     id hashes shape and strategy, so a stale file can never be served for
     the wrong circuit) and survive process restarts.
 
-    ``readonly=True`` is the worker-side discipline for the process-pool
-    executor: the store consults memory and disk only, never runs setup,
-    and never writes (no tmp files, no repair, no lock files) — a pool
-    worker that raced its siblings to a half-provisioned root must fail
+    ``readonly=True`` is the worker-side discipline
+    (:mod:`repro.core.remote_worker`): the store consults memory and disk
+    only, never runs setup, and never writes (no tmp files, no repair, no
+    lock files) — a worker that raced its siblings to a half-provisioned root must fail
     with ``KeyError`` instead of minting a divergent keypair.
     """
 

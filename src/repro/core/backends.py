@@ -359,10 +359,10 @@ class SpartanBackend(ProofBackend):
 
 # -- worker entrypoints ----------------------------------------------------------
 #
-# Top-level (picklable) functions shared by the in-process serving path and
-# the process-pool workers in :mod:`repro.core.pool`.  Workers cannot ship
-# live backend or circuit objects across the spawn boundary; they ship
-# names and bytes, and everything live is rebuilt here from the registry.
+# Top-level functions shared by the in-process serving path and the
+# workers of :mod:`repro.core.remote_worker`.  Workers cannot receive live
+# backend or circuit objects over the wire; they get names and bytes, and
+# everything live is rebuilt here from the registry.
 
 def prove_jobs_to_wire(
     backend_name: str,

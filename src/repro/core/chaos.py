@@ -15,9 +15,9 @@ exactly-once results contract:
 
 Everything is driven by one integer seed: the job matrices, the
 kill/restart schedule, and (via the fault plan's ``times`` budgets and
-marker files) the network faults all replay identically.  Workers are
-launched on *explicit* ports so a killed worker restarts at the same
-registry address — the fleet topology the dispatcher sees never changes,
+marker files) the network faults all replay identically.  A killed worker
+restarts on its old port (:meth:`~repro.core.remote_worker.LocalFleet.
+relaunch`), so the fleet topology the dispatcher sees never changes,
 only its health.
 
 The CI smoke mode (``tests/test_chaos.py``) runs the acceptance-sized
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import random
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .faultinject import ENV_VAR as FAULT_ENV
 from .faultinject import FaultPlan, FaultSpec
 from .pool import GroupChunkPolicy
 from .remote import TOKEN_ENV, parse_worker_addr
-from .remote_worker import launch_worker, stop_workers
+from .remote_worker import LocalFleet
 from .resilience import RetryPolicy
 from .service import ProvingService
 
@@ -107,12 +106,6 @@ class ChaosReport:
     @property
     def byte_identical(self) -> bool:
         return bool(self.reference_bundles) and self.bundles == self.reference_bundles
-
-
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def _make_jobs(config: ChaosConfig, rng: random.Random):
@@ -196,20 +189,11 @@ def run_chaos(
     worker_env = dict(os.environ)
     plan.install(worker_env)
 
-    ports = [_free_port() for _ in range(config.workers)]
-    addrs: List[str] = []
-    procs: List = []
-    guard = threading.Lock()  # procs/addrs slots are swapped on restart
+    fleet: Optional[LocalFleet] = None
     t_start = time.monotonic()
     try:
-        for port in ports:
-            addr, proc = launch_worker(
-                port=port, keystore_root=keys_root, env=worker_env
-            )
-            addrs.append(addr)
-            procs.append(proc)
-
-        svc = _make_service(config, "remote", keys_root, addrs)
+        fleet = LocalFleet(config.workers, keystore_root=keys_root, env=worker_env)
+        svc = _make_service(config, "remote", keys_root, fleet.addrs)
 
         # -- deterministic kill/restart schedule (batch -> victim, delay) ----
         kill_batches = sorted(
@@ -227,20 +211,13 @@ def run_chaos(
 
         def _kill_and_restart(victim: int, delay: float) -> None:
             time.sleep(delay)
-            with guard:
-                proc = procs[victim]
-            proc.kill()  # SIGKILL: no drain, no goodbye — the hard case
-            proc.wait(timeout=10)
+            # SIGKILL: no drain, no goodbye — the hard case
+            fleet.relaunch(victim)
             report.kills += 1
-            addr, fresh = launch_worker(
-                port=ports[victim], keystore_root=keys_root, env=worker_env
-            )
-            with guard:
-                procs[victim] = fresh
             report.restarts += 1
             # One prompt probe so the registry revives the slot without
             # waiting a full heartbeat interval.
-            svc._remote.registry.ping(parse_worker_addr(addr))
+            svc._remote.registry.ping(parse_worker_addr(fleet.addrs[victim]))
 
         # -- the soak ---------------------------------------------------------
         try:
@@ -302,7 +279,8 @@ def run_chaos(
         finally:
             ref.close()
     finally:
-        stop_workers(procs)
+        if fleet is not None:
+            fleet.close()
         for key, value in saved_env.items():
             if value is None:
                 os.environ.pop(key, None)

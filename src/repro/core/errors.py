@@ -107,7 +107,7 @@ class ProvingError(Exception):
 
 class WorkerCrash(ProvingError):
     """A worker process died without reporting (segfault, ``os._exit``,
-    OOM-kill) — observed as ``BrokenProcessPool`` or a terminated pool."""
+    OOM-kill) — observed as its connection lost mid-chunk."""
 
     kind = "worker-crash"
     retryable = True
@@ -213,10 +213,9 @@ def wrap_error(exc: BaseException, **context) -> ProvingError:
     """Classify an arbitrary exception into the taxonomy.
 
     Already-typed errors pass through (context merged in); everything
-    else maps by cause: dead pools to :class:`WorkerCrash`, future
-    timeouts to :class:`ChunkTimeout`, ``KeyError`` (the keystore's
-    rehydrate-or-fail contract) to :class:`MissingKey`, decode failures
-    to :class:`CorruptEnvelope`.  The generic fallback is a deterministic,
+    else maps by cause: future timeouts to :class:`ChunkTimeout`,
+    ``KeyError`` (the keystore's rehydrate-or-fail contract) to
+    :class:`MissingKey`, decode failures to :class:`CorruptEnvelope`.  The generic fallback is a deterministic,
     non-retryable :class:`ProvingError` (a Python-level error in the
     prover fails the same way every time) that is still ``isolate`` —
     bisection can pin it on the job that caused it.
@@ -227,12 +226,9 @@ def wrap_error(exc: BaseException, **context) -> ProvingError:
                 setattr(exc, name, value)
         return exc
     from concurrent.futures import TimeoutError as FuturesTimeout
-    from concurrent.futures.process import BrokenProcessPool
 
     message = f"{type(exc).__name__}: {exc}"
-    if isinstance(exc, BrokenProcessPool):
-        cls = WorkerCrash
-    elif isinstance(exc, FuturesTimeout):
+    if isinstance(exc, FuturesTimeout):
         cls = ChunkTimeout
     elif isinstance(exc, KeyError):
         cls = MissingKey

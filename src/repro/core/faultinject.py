@@ -246,9 +246,8 @@ class FaultPlan:
         strategy: Optional[str] = None,
         tier: Optional[str] = None,
     ) -> None:
-        """In-process (serial/thread executor) per-job hook, called right
-        before each prove attempt; raises the typed error the process
-        tier would have produced."""
+        """In-process per-job hook, called right before each prove
+        attempt; raises the typed error a worker would have produced."""
         for spec in self.specs:
             if spec.kind in _EXIT_KINDS:
                 continue  # no wire (or envelope) exists on the inline path

@@ -1,10 +1,11 @@
-"""Remote proving fleet: chunk dispatch to worker hosts over TCP.
+"""Chunk dispatch to proving workers over TCP — the one dispatch path.
 
-This is ROADMAP direction 1 — the step from "all the cores in one box" to
-"all the boxes".  The process-pool executor (:mod:`repro.core.pool`)
-already ships circuit groups as bytes-only job envelopes and gets
-wire-format bundles back; this module moves those same bytes over a
-socket instead of a pipe:
+Circuit groups travel as bytes-only job envelopes and come back as
+wire-format bundles, over a socket to a worker running
+:func:`repro.core.remote_worker.serve`.  The workers are either other
+hosts (``executor="remote"``) or a :class:`~repro.core.remote_worker.
+LocalFleet` of loopback workers that the service starts and owns
+(``executor="process"``); the executor below drives both:
 
 * **Frames.**  Every message is ``MAGIC ‖ kind ‖ u32 length ‖ payload``
   (:func:`send_frame` / :func:`recv_frame`).  The length prefix is capped
@@ -35,10 +36,11 @@ socket instead of a pipe:
   :class:`~repro.core.errors.FleetAuthError`, connection lost mid-chunk
   ⇒ :class:`~repro.core.errors.WorkerCrash`, socket deadline (the chunk
   lease) ⇒ :class:`~repro.core.errors.ChunkTimeout` — and hands them to
-  the *same* :func:`repro.core.pool.resolve_chunk`
-  retry/bisect/quarantine loop the process pool uses.  ``ChunkLease``
-  and ``RetryPolicy`` never learn whether the chunk died in a subprocess
-  or across a socket.
+  the :func:`repro.core.pool.resolve_chunk` retry/bisect/quarantine loop.
+* **Owned workers are relaunched.**  With a ``fleet``, every dispatch
+  round first kills and relaunches any worker that exited or that the
+  registry marks dead (:meth:`RemoteProvingExecutor.revive`), and each
+  relaunch counts as one breakage.
 * **Health-aware placement.**  :class:`WorkerRegistry` pairs each worker
   with a :class:`~repro.core.resilience.CircuitBreaker` fed by dispatch
   outcomes (failure + latency EWMAs).  Placement spreads round-robin
@@ -52,7 +54,7 @@ socket instead of a pipe:
   the fleet's actually-usable capacity.
 
 The server side lives in :mod:`repro.core.remote_worker`
-(``python -m repro.core.remote_worker``).
+(``python -m repro.core.remote_worker`` on another host).
 """
 
 from __future__ import annotations
@@ -601,6 +603,15 @@ class WorkerRegistry:
             if w is not None:
                 w.healthy = False
 
+    def reset(self, addr: Tuple[str, int]) -> None:
+        """Forget a worker's history: a relaunched process starts
+        reachable, with a fresh breaker."""
+        with self._guard:
+            w = self._find(addr)
+            if w is not None:
+                w.healthy = True
+                w.breaker = CircuitBreaker(w.breaker.config, clock=self.clock)
+
     def mark_alive(self, addr: Tuple[str, int], stats: Optional[dict] = None) -> None:
         with self._guard:
             w = self._find(addr)
@@ -671,14 +682,18 @@ class _StaleConnection(Exception):
 
 
 class RemoteProvingExecutor:
-    """Runs same-circuit job chunks on a fleet of TCP worker hosts.
+    """Runs same-circuit job chunks on a fleet of TCP workers.
 
-    Drop-in interface twin of
-    :class:`~repro.core.pool.ProcessProvingExecutor` — ``start`` /
-    ``finish`` / ``run`` / ``shutdown`` plus a ``breakages`` counter the
-    service's degradation ladder reads — so
-    :class:`~repro.core.service.ProvingService` drives both through one
-    code path.
+    ``start`` / ``finish`` / ``run`` / ``shutdown`` plus a ``breakages``
+    counter that :class:`~repro.core.service.ProvingService`'s
+    degradation ladder reads.
+
+    ``fleet`` is a :class:`~repro.core.remote_worker.LocalFleet` this
+    executor owns (``workers`` are then its addresses): :meth:`revive`
+    relaunches its dead workers, :meth:`shutdown` stops them, and
+    ``breakages`` counts relaunches.  Without one the workers are other
+    hosts, and ``breakages`` counts workers lost (dead, hung or
+    unreachable) instead.
 
     ``key_provider`` answers workers' ``KEY_REQUEST`` frames: a callable
     ``(shape, strategy, backend_name) -> bytes`` returning serialized
@@ -703,6 +718,7 @@ class RemoteProvingExecutor:
         auth_token: Optional[bytes] = None,
         breaker_config: Optional[BreakerConfig] = None,
         pool_idle_seconds: float = 30.0,
+        fleet=None,
     ):
         token = auth_token if auth_token is not None else fleet_token()
         if isinstance(token, str):
@@ -725,11 +741,10 @@ class RemoteProvingExecutor:
             retry_policy if retry_policy is not None else RetryPolicy()
         )
         self.key_provider = key_provider
+        self.fleet = fleet
         self.connect_timeout = connect_timeout
         self.default_timeout_seconds = default_timeout_seconds
-        #: fleet-level casualties (dead/hung/unreachable workers) — the
-        #: degradation-ladder signal, symmetric with the process pool's
-        #: pool-teardown count
+        #: fleet-level casualties — the degradation-ladder signal
         self.breakages = 0
         #: chunk dispatches attempted (each needing one pooled connection)
         #: — with pooling, ``dispatches ≫ pool.connects``
@@ -737,6 +752,31 @@ class RemoteProvingExecutor:
         self._stats_guard = threading.Lock()
         self._threads: Optional[ThreadPoolExecutor] = None
         self.registry.start_heartbeat()
+
+    # -- worker health -----------------------------------------------------------
+    def _worker_lost(self, addr: Tuple[str, int]) -> None:
+        """A worker died, hung or could not be reached: avoid it until a
+        heartbeat revives it or :meth:`revive` relaunches it."""
+        self.registry.record_failure(addr, dead=True)
+        self.pool.drop_worker(addr)
+        if self.fleet is None:
+            self.breakages += 1
+
+    def revive(self) -> None:
+        """Kill and relaunch every owned worker that has exited or that
+        the registry marks dead, one breakage each.  Call it from the
+        dispatching thread (a relaunch forks)."""
+        if self.fleet is None:
+            return
+        dead = {w.addr for w in self.registry.workers() if not w.healthy}
+        for i, spec in enumerate(self.fleet.addrs):
+            addr = parse_worker_addr(spec)
+            if self.fleet.processes[i].is_alive() and addr not in dead:
+                continue
+            self.fleet.relaunch(i)
+            self.pool.drop_worker(addr)
+            self.registry.reset(addr)
+            self.breakages += 1
 
     # -- transport ---------------------------------------------------------------
     def _dispatch(self, blob: bytes, timeout_s: Optional[float]) -> bytes:
@@ -763,9 +803,7 @@ class RemoteProvingExecutor:
                 exc.message = f"worker {addr[0]}:{addr[1]}: {exc.message}"
                 raise
             except OSError as exc:
-                self.registry.record_failure(addr, dead=True)
-                self.pool.drop_worker(addr)
-                self.breakages += 1
+                self._worker_lost(addr)
                 raise WorkerUnavailable(
                     f"worker {addr[0]}:{addr[1]} unreachable: {exc}"
                 ) from exc
@@ -777,8 +815,13 @@ class RemoteProvingExecutor:
                     t0,
                     # Only a *reused* socket earns the free retry, and
                     # only on the first attempt — a fresh dial that dies
-                    # is a real worker fault.
-                    may_be_stale=conn.reused and attempt == 1,
+                    # is a real worker fault.  An owned worker that died
+                    # idle was relaunched (its sockets dropped) before
+                    # this dispatch, so a reused socket to one that dies
+                    # now died with this chunk.
+                    may_be_stale=(
+                        conn.reused and attempt == 1 and self.fleet is None
+                    ),
                 )
             except _StaleConnection:
                 continue
@@ -799,9 +842,7 @@ class RemoteProvingExecutor:
             self.pool.discard(conn)
             if may_be_stale and not progressed:
                 return _StaleConnection()
-            self.registry.record_failure(addr, dead=True)
-            self.pool.drop_worker(addr)
-            self.breakages += 1
+            self._worker_lost(addr)
             return WorkerCrash(
                 f"connection to worker {addr[0]}:{addr[1]} lost mid-chunk"
                 + (f": {exc_or_none}" if exc_or_none is not None else "")
@@ -812,8 +853,7 @@ class RemoteProvingExecutor:
             send_frame(conn.sock, JOBS, blob)
         except socket.timeout:
             self.pool.discard(conn)
-            self.registry.record_failure(addr, dead=True)
-            self.breakages += 1
+            self._worker_lost(addr)
             raise ChunkTimeout(
                 f"chunk lease expired on worker {addr[0]}:{addr[1]}",
                 deadline_seconds=deadline,
@@ -825,10 +865,9 @@ class RemoteProvingExecutor:
                 frame = recv_frame(conn.sock)
             except socket.timeout:
                 # The chunk lease expired on the wire: presume the
-                # worker hung, avoid it until a heartbeat revives it.
+                # worker hung.
                 self.pool.discard(conn)
-                self.registry.record_failure(addr, dead=True)
-                self.breakages += 1
+                self._worker_lost(addr)
                 raise ChunkTimeout(
                     f"chunk lease expired on worker {addr[0]}:{addr[1]}",
                     deadline_seconds=deadline,
@@ -894,11 +933,10 @@ class RemoteProvingExecutor:
     ):
         """Dispatch ``(tag, jobs_blob)`` chunks without blocking.
 
-        Unlike the process pool, lease deadlines must be known *here*:
-        they become socket timeouts inside the dispatch threads (a
-        blocking ``recv`` is the only place a remote lease can be
-        enforced).  Returns the ``(tag, future)`` list for
-        :meth:`finish`.
+        Lease deadlines must be known *here*: they become socket timeouts
+        inside the dispatch threads (a blocking ``recv`` is the only
+        place a lease can be enforced).  Returns the ``(tag, future)``
+        list for :meth:`finish`.
         """
         timeouts = timeouts or {}
         if self._threads is None:
@@ -919,28 +957,30 @@ class RemoteProvingExecutor:
     ) -> PoolOutcome:
         """Collect :meth:`start`'s futures; never raises for a chunk.
 
-        First-dispatch failures feed the shared
-        :func:`~repro.core.pool.resolve_chunk` retry/bisect/quarantine
-        loop, re-dispatching over whatever workers the registry still
-        trusts; whatever cannot be recovered is reported per chunk in
-        ``errors`` — typed, never raised.
+        Every first dispatch is collected before any retry, so one dead
+        owned worker is relaunched once, not once per chunk it held.
+        Failures then feed the :func:`~repro.core.pool.resolve_chunk`
+        retry/bisect/quarantine loop, re-dispatching over whatever
+        workers the registry still trusts; whatever cannot be recovered
+        is reported per chunk in ``errors`` — typed, never raised.
         """
         timeouts = timeouts or {}
         outcome = PoolOutcome()
         by_tag = dict(tasks)
+        failed = []
         for tag, fut in futures:
             try:
                 outcome.results[tag] = serialize.job_results_from_bytes(
                     fut.result()
                 )
-                outcome.attempts.setdefault(tag, 1)
-                continue
+                outcome.attempts[tag] = 1
             except Exception as exc:  # noqa: BLE001 — classified below
-                err = wrap_error(exc)
+                failed.append((tag, wrap_error(exc)))
+        for tag, err in failed:
             outcome.retried.append(tag)
             try:
                 triples, poison, attempts = resolve_chunk(
-                    self._dispatch,
+                    self._redispatch,
                     self.retry_policy,
                     by_tag[tag],
                     timeouts.get(tag),
@@ -956,6 +996,12 @@ class RemoteProvingExecutor:
                 outcome.errors[tag] = fatal
                 outcome.attempts[tag] = max(1, fatal.attempts)
         return outcome
+
+    def _redispatch(self, blob: bytes, timeout_s: Optional[float]) -> bytes:
+        """A retry, from the calling thread: relaunch dead owned workers
+        first, then dispatch."""
+        self.revive()
+        return self._dispatch(blob, timeout_s)
 
     def run(
         self,
@@ -977,23 +1023,25 @@ class RemoteProvingExecutor:
         return stats
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop the heartbeat, dispatch threads, and connection pool.
-        ``drain=True`` waits for in-flight dispatches to finish first
-        (their results are lost either way — callers drain via
-        :meth:`finish` — but the workers' in-progress chunks get their
-        replies consumed instead of a reset).  Idempotent.  Does NOT stop
-        the workers — the fleet outlives any one dispatcher; use
-        :meth:`shutdown_workers` to drain owned (loopback) fleets."""
+        """Stop the heartbeat, dispatch threads, and connection pool,
+        then the owned ``fleet`` if there is one.  ``drain=True`` waits
+        for in-flight dispatches to finish first (their results are lost
+        either way — callers drain via :meth:`finish` — but the workers'
+        in-progress chunks get their replies consumed instead of a
+        reset).  Idempotent.  Other hosts' workers keep running — a fleet
+        outlives any one dispatcher; :meth:`shutdown_workers` drains
+        them."""
         self.registry.stop()
         threads, self._threads = self._threads, None
         if threads is not None:
             threads.shutdown(wait=drain, cancel_futures=not drain)
         self.pool.close()
+        if self.fleet is not None:
+            self.fleet.close()
 
     def shutdown_workers(self) -> None:
         """Send every registered worker a ``SHUTDOWN`` frame (best
-        effort, authenticated like any other connection) — for fleets
-        this process launched and owns."""
+        effort, authenticated like any other connection)."""
         for w in self.registry.workers():
             try:
                 with open_connection(

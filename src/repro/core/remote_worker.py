@@ -1,18 +1,21 @@
-"""Remote proving worker: the server side of :mod:`repro.core.remote`.
+"""Proving worker: the server side of :mod:`repro.core.remote`.
 
 Run one per host::
 
     PYTHONPATH=src python -m repro.core.remote_worker \\
         --host 0.0.0.0 --port 7841 --keystore /shared/keys
 
+or start a fleet of them on this host with :class:`LocalFleet` — which is
+what ``ProvingService(executor="process")`` does for its own workers.
+
 The worker accepts TCP connections and serves the frame protocol
-(thread-per-connection — proving is CPU-bound, so concurrency across
-connections mainly overlaps the sockets, exactly like the service's
-thread tier):
+(thread-per-connection):
 
 * ``HELLO``  — begin the HMAC session handshake (see below).
 * ``JOBS``   — decode the prove-jobs envelope, rehydrate the keypair,
-  prove every job, reply ``RESULTS`` (or a typed ``ERROR``).
+  prove every job, reply ``RESULTS`` (or a typed ``ERROR``).  One chunk
+  proves at a time per worker: proving is CPU-bound, so concurrent
+  connections overlap only their sockets.
 * ``PING``   — reply ``PONG`` with a JSON stats payload (pid, chunks and
   jobs served, keys adopted over the wire, connection/auth counters) for
   the dispatcher's registry.
@@ -33,19 +36,19 @@ session nonces, constant-time compares, mutual ``AUTH_OK`` proof) as the
 unauthenticated peer is rejected with a typed ``auth-failed`` ERROR
 before a single payload byte is decoded.
 
-Key discipline mirrors the process pool's: the worker opens its KeyStore
-**read-only** — it must adopt the dispatcher's keypair or fail, never
-mint its own (a self-minted keypair would produce proofs nobody can
-verify).  New here is the *on-demand distribution* path: a keystore miss
-sends ``KEY_REQUEST`` back up the dispatching connection and adopts the
-``KEY_PUSH``ed keypair bytes (the existing
+Key discipline: the worker opens its KeyStore **read-only** — it must
+adopt the dispatcher's keypair or fail, never mint its own (a
+self-minted keypair would produce proofs nobody can verify).  A keystore
+miss sends ``KEY_REQUEST`` back up the dispatching connection and adopts
+the ``KEY_PUSH``ed keypair bytes (the
 :func:`repro.serialize.groth16_keypair_to_bytes` wire format) into
-memory, so a diskless worker can still join a Groth16 fleet.
+memory, so a diskless worker can still prove Groth16 chunks.
 
 Fault injection: the entry/exit hooks of :mod:`repro.core.faultinject`
-are honoured with ``tier="remote"``, and worker launch environments are
-built via :func:`repro.core.faultinject.scoped_env` — an ambient fault
-plan on the dispatcher never leaks in.
+are honoured under the worker's tier (``"remote"``, or ``"process"`` for
+a service's own fleet), and :class:`LocalFleet` scopes the plan a
+``"remote"`` worker sees — an ambient fault plan on the dispatcher never
+leaks in.
 """
 
 from __future__ import annotations
@@ -53,14 +56,15 @@ from __future__ import annotations
 import argparse
 import hmac
 import json
+import multiprocessing
 import os
+import queue
 import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from concurrent.futures import Future
+from typing import List, Optional, Tuple
 
 from .. import serialize
 from . import faultinject
@@ -86,10 +90,10 @@ from .remote import (
     send_frame,
 )
 
-_CRASH_ENV = "REPRO_POOL_TEST_CRASH"  # legacy whole-strategy crash hook
-
 #: how often an idle persistent connection re-checks the stop flag
 _POLL_SECONDS = 0.5
+#: how often the accept loop and the serving thread re-check it
+_ACCEPT_SECONDS = 0.25
 #: an unauthenticated peer gets this long to complete the handshake
 _HANDSHAKE_SECONDS = 5.0
 
@@ -106,13 +110,18 @@ class WorkerState:
         self,
         keystore_root: Optional[str] = None,
         token: Optional[bytes] = None,
+        tier: str = "remote",
     ):
         self.registry = CircuitRegistry()
         self.keystore = KeyStore(
             root=keystore_root, registry=self.registry, readonly=True
         )
         self.token = token
+        self.tier = tier
         self.stop = threading.Event()
+        #: chunks the connection handlers queue for the serving thread,
+        #: which proves them one at a time
+        self.chunks: "queue.Queue" = queue.Queue()
         self._guard = threading.Lock()
         self.chunks_served = 0
         self.jobs_served = 0
@@ -190,19 +199,53 @@ def _handle_jobs(conn: socket.socket, state: WorkerState, payload: bytes) -> Non
     """One chunk: decode, (maybe) fetch keys, prove, reply RESULTS.
 
     Raises on failure; the connection loop converts the exception into a
-    typed ERROR frame.  Mirrors ``pool._prove_group_worker`` except that
-    a keystore miss becomes a KEY_REQUEST round trip before giving up.
+    typed ERROR frame.  A keystore miss becomes a KEY_REQUEST round trip
+    before giving up.
     """
     jobs = serialize.prove_jobs_from_bytes(payload)  # raises CorruptEnvelope
     if not jobs:
         send_frame(conn, RESULTS, serialize.job_results_to_bytes([]))
         return
     plan = faultinject.active_plan()
+    done: Future = Future()
+    state.chunks.put((conn, jobs, plan, done))
+    blob = done.result()
     if plan is not None:
-        plan.fire_worker(jobs, tier="remote")
+        blob = plan.mangle_results(blob, jobs, tier=state.tier)
+        # Transport faults act on the *reply* path — the chunk was proven,
+        # the network "loses" it: the worst case for exactly-once
+        # accounting, which is precisely what the chaos soak asserts.
+        net = plan.transport_fault(jobs, tier=state.tier)
+        if net is not None:
+            state.count(net_faults=1)
+            if net.kind == "net_stall":
+                # Outlive the dispatcher's lease; the eventual send hits
+                # a socket the dispatcher already abandoned.
+                time.sleep(net.seconds)
+            elif net.kind == "net_drop":
+                raise _DropConnection()
+    state.count(chunks=1, jobs=len(jobs))
+    send_frame(conn, RESULTS, blob)
+
+
+def _prove_queued(state: WorkerState) -> None:
+    """Prove the next queued chunk, if one arrives within the poll
+    interval, and hand its envelope (or its failure) to the handler."""
+    try:
+        conn, jobs, plan, done = state.chunks.get(timeout=_ACCEPT_SECONDS)
+    except queue.Empty:
+        return
+    try:
+        if plan is not None:
+            plan.fire_worker(jobs, tier=state.tier)
+        done.set_result(_prove_chunk(conn, state, jobs))
+    except Exception as exc:  # noqa: BLE001 — the handler replies typed
+        done.set_exception(exc)
+
+
+def _prove_chunk(conn: socket.socket, state: WorkerState, jobs) -> bytes:
+    """Prove one decoded chunk; returns the job-results envelope."""
     _, x0, w0, strategy, backend_name = jobs[0]
-    if os.environ.get(_CRASH_ENV) == strategy:
-        os._exit(13)  # simulated segfault (legacy test hook)
     a, n, b = len(x0), len(x0[0]), len(w0[0])
     circuit = state.registry.get(a, n, b, strategy)
     backend = get_backend(backend_name)
@@ -235,23 +278,7 @@ def _handle_jobs(conn: socket.socket, state: WorkerState, payload: bytes) -> Non
         artifacts,
         [(job_id, x, w) for job_id, x, w, _, _ in jobs],
     )
-    blob = serialize.job_results_to_bytes(results)
-    if plan is not None:
-        blob = plan.mangle_results(blob, jobs, tier="remote")
-        # Transport faults act on the *reply* path — the chunk was proven,
-        # the network "loses" it: the worst case for exactly-once
-        # accounting, which is precisely what the chaos soak asserts.
-        net = plan.transport_fault(jobs, tier="remote")
-        if net is not None:
-            state.count(net_faults=1)
-            if net.kind == "net_stall":
-                # Outlive the dispatcher's lease; the eventual send hits
-                # a socket the dispatcher already abandoned.
-                time.sleep(net.seconds)
-            elif net.kind == "net_drop":
-                raise _DropConnection()
-    state.count(chunks=1, jobs=len(results))
-    send_frame(conn, RESULTS, blob)
+    return serialize.job_results_to_bytes(results)
 
 
 def _reject_unauthenticated(conn: socket.socket, state: WorkerState, why: str) -> None:
@@ -379,31 +406,51 @@ def serve(
     keystore_root: Optional[str] = None,
     token: Optional[bytes] = None,
     drain_seconds: float = 30.0,
+    listener: Optional[socket.socket] = None,
+    tier: str = "remote",
 ) -> None:
-    """Bind, announce, and serve until a ``SHUTDOWN`` frame (or SIGTERM)
-    arrives; then *drain* — join in-flight connection handlers (bounded
-    by ``drain_seconds``) so no accepted chunk is dropped on the floor.
+    """Serve until a ``SHUTDOWN`` frame (or SIGTERM) arrives; then
+    *drain* — join in-flight connection handlers (bounded by
+    ``drain_seconds``) so no accepted chunk is dropped on the floor.
 
-    Prints ``listening on <host>:<port>`` (flushed) once ready — with
-    ``port=0`` the kernel assigns one, and launchers parse this line to
-    learn it.  ``token`` defaults to the ``REPRO_FLEET_TOKEN``
-    environment variable; set (either way) it makes the HMAC handshake
-    mandatory on every connection.
+    Serves on ``listener`` when one is handed over (:class:`LocalFleet`);
+    otherwise binds ``host:port`` and prints ``listening on <host>:<port>``
+    (flushed) once ready — with ``port=0`` the kernel assigns one.
+    ``token`` defaults to the ``REPRO_FLEET_TOKEN`` environment variable;
+    set (either way) it makes the HMAC handshake mandatory on every
+    connection.  ``tier`` is the fault-injection tier chunks fire as.
     """
     if isinstance(token, str):
         token = token.encode("utf-8")
-    state = WorkerState(keystore_root, token=token if token else fleet_token())
+    state = WorkerState(
+        keystore_root, token=token if token else fleet_token(), tier=tier
+    )
     try:
         # Graceful drain on fleet teardown: SIGTERM means "stop accepting,
         # finish what you hold" — same path as the SHUTDOWN frame.
         signal.signal(signal.SIGTERM, lambda _sig, _frm: state.stop.set())
     except ValueError:
         pass  # not the main thread (tests drive serve() directly)
-    listener = socket.create_server((host, port))
-    actual_port = listener.getsockname()[1]
-    print(f"listening on {host}:{actual_port}", flush=True)
+    if listener is None:
+        listener = socket.create_server((host, port))
+        print(f"listening on {host}:{listener.getsockname()[1]}", flush=True)
+    accepting = threading.Thread(
+        target=_accept, args=(listener, state, drain_seconds), daemon=True
+    )
+    accepting.start()
+    # Chunks prove on this thread, one at a time: proving is CPU-bound,
+    # so concurrent chunks would only contend, and a forked worker then
+    # allocates from the heap it inherited instead of growing one malloc
+    # arena per connection thread.
+    while accepting.is_alive() or not state.chunks.empty():
+        _prove_queued(state)
+
+
+def _accept(listener: socket.socket, state: WorkerState, drain_seconds: float) -> None:
+    """Accept connections, one handler thread each, until the stop flag
+    is set; then drain the handlers."""
     # Short accept timeout so the stop flag is noticed promptly.
-    listener.settimeout(0.25)
+    listener.settimeout(_ACCEPT_SECONDS)
     with listener:
         while not state.stop.is_set():
             try:
@@ -422,134 +469,123 @@ def serve(
     state.drain(drain_seconds)
 
 
-# -- loopback fleet launcher ------------------------------------------------------
+# -- local fleet launcher ---------------------------------------------------------
 
-def _worker_launch_env(env: Optional[dict]) -> dict:
-    """The environment a loopback worker subprocess launches with: fault
-    plan scoped via :func:`repro.core.faultinject.scoped_env`, and
-    ``PYTHONPATH`` pinned so the worker imports ``repro`` exactly as this
-    process does."""
-    base_env = faultinject.scoped_env("remote", env if env is not None else os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    existing = base_env.get("PYTHONPATH")
-    base_env["PYTHONPATH"] = (
-        src_root if not existing else os.pathsep.join([src_root, existing])
-    )
-    return base_env
+#: how long a stopped worker gets to drain and exit before it is killed
+_STOP_SECONDS = 5.0
 
 
-def _worker_command(port: int, keystore_root: Optional[str]) -> List[str]:
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.core.remote_worker",
-        "--host",
-        "127.0.0.1",
-        "--port",
-        str(port),
-    ]
-    if keystore_root is not None:
-        cmd += ["--keystore", keystore_root]
-    return cmd
-
-
-def launch_worker(
-    port: int = 0,
-    keystore_root: Optional[str] = None,
-    env: Optional[dict] = None,
-    startup_timeout: float = 30.0,
-) -> Tuple[str, subprocess.Popen]:
-    """Spawn ONE worker subprocess and block until it announces.
-
-    With an explicit ``port`` the worker comes back on a known address —
-    what the chaos harness leans on to *restart* a killed worker at the
-    same registry slot.  Returns ``("127.0.0.1:<port>", Popen)``.
-    """
-    proc = subprocess.Popen(
-        _worker_command(port, keystore_root),
-        env=_worker_launch_env(env),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
+def _fork_available() -> bool:
+    """Whether workers start by fork (the default where the platform has
+    it: no interpreter start-up, every import already done) rather than
+    spawn."""
     try:
-        line = _read_announcement(proc, startup_timeout)
-    except Exception:
-        stop_workers([proc])
-        raise
-    return line.rsplit(" ", 1)[-1], proc
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return True
 
 
-def launch_loopback_workers(
-    n: int,
-    keystore_root: Optional[str] = None,
-    env: Optional[dict] = None,
-    startup_timeout: float = 30.0,
-) -> Tuple[List[str], List[subprocess.Popen]]:
-    """Spawn ``n`` worker subprocesses on ``127.0.0.1`` ephemeral ports.
+def _run_worker(
+    listener: socket.socket, keystore_root: Optional[str], tier: str, env: dict
+) -> None:
+    """Entry point of a :class:`LocalFleet` worker process."""
+    os.environ.clear()
+    os.environ.update(env)
+    serve(listener=listener, keystore_root=keystore_root, tier=tier)
 
-    Returns ``(["127.0.0.1:<port>", ...], [Popen, ...])`` once every
-    worker has announced its port.  The launch environment is built with
-    :func:`repro.core.faultinject.scoped_env` — only fault specs
-    explicitly addressed to ``tier="remote"`` cross this boundary.  Pair
-    with :func:`stop_workers` in a ``finally``.
+
+class LocalFleet:
+    """``n`` workers on this host, each serving :func:`serve` on its own
+    loopback port.
+
+    The parent binds each listener and hands it to the child, so an
+    address is dialable the moment :meth:`relaunch` (or the constructor)
+    returns — a connection made before the child accepts waits in the
+    listen backlog — and no start-up announcement is read.  Workers start
+    by fork where the platform offers it and by spawn otherwise, as
+    daemonic :mod:`multiprocessing` children: interpreter exit reaps any
+    that :meth:`close` did not.
+
+    ``tier`` is the fault-injection tier the workers fire as.  ``"remote"``
+    workers stand in for other hosts, so they see only the fault specs
+    addressed to that tier (:func:`repro.core.faultinject.scoped_env`);
+    ``"process"`` workers belong to this process tree and see its whole
+    plan.  ``env`` (default ``os.environ``) is the environment they run
+    under.
     """
-    base_env = _worker_launch_env(env)
-    cmd = _worker_command(0, keystore_root)
-    addrs: List[str] = []
-    procs: List[subprocess.Popen] = []
-    try:
-        for _ in range(n):
-            proc = subprocess.Popen(
-                cmd,
-                env=base_env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-            )
-            procs.append(proc)
-        for proc in procs:
-            line = _read_announcement(proc, startup_timeout)
-            addrs.append(line.rsplit(" ", 1)[-1])
-    except Exception:
-        stop_workers(procs)
-        raise
-    return addrs, procs
 
-
-def _read_announcement(proc: subprocess.Popen, timeout: float) -> str:
-    """The worker's ``listening on ...`` line, bounded by ``timeout``."""
-    result: List[str] = []
-
-    def reader():
-        result.append(proc.stdout.readline())
-
-    t = threading.Thread(target=reader, daemon=True)
-    t.start()
-    t.join(timeout)
-    if not result or "listening on" not in result[0]:
-        raise RuntimeError(
-            f"worker pid {proc.pid} failed to start "
-            f"(announced: {result[0]!r})" if result else
-            f"worker pid {proc.pid} failed to announce within {timeout}s"
+    def __init__(
+        self,
+        n: int,
+        keystore_root: Optional[str] = None,
+        tier: str = "remote",
+        env: Optional[dict] = None,
+    ):
+        self.keystore_root = keystore_root
+        self.tier = tier
+        base = os.environ if env is None else env
+        self._env = (
+            faultinject.scoped_env(tier, base) if tier == "remote" else dict(base)
         )
-    return result[0].strip()
-
-
-def stop_workers(procs: Sequence[subprocess.Popen]) -> None:
-    """Terminate and reap a loopback fleet (idempotent, best effort)."""
-    for proc in procs:
-        if proc.poll() is None:
-            proc.terminate()
-    for proc in procs:
+        self._ctx = multiprocessing.get_context(
+            "fork" if _fork_available() else "spawn"
+        )
+        self.ports: List[int] = [0] * n
+        self.processes: List = [None] * n
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=10)
-        if proc.stdout is not None:
-            proc.stdout.close()
+            for i in range(n):
+                self._start(i)
+        except BaseException:
+            self.close()
+            raise
 
+    @property
+    def addrs(self) -> List[str]:
+        return [f"127.0.0.1:{port}" for port in self.ports]
+
+    def pids(self) -> List[Optional[int]]:
+        return [None if p is None else p.pid for p in self.processes]
+
+    def _start(self, i: int) -> None:
+        listener = socket.create_server(("127.0.0.1", self.ports[i]))
+        try:
+            self.ports[i] = listener.getsockname()[1]
+            proc = self._ctx.Process(
+                target=_run_worker,
+                args=(listener, self.keystore_root, self.tier, self._env),
+                name=f"repro-worker-{i}",
+                daemon=True,
+            )
+            proc.start()
+        finally:
+            # The child holds its own copy; keeping this one open would
+            # leave the port accepting into a backlog nobody serves once
+            # the child dies, and block the relaunch's bind.
+            listener.close()
+        self.processes[i] = proc
+
+    def relaunch(self, i: int) -> None:
+        """Kill worker ``i`` (SIGKILL: it may be hung) and start a fresh
+        one on the same port."""
+        proc = self.processes[i]
+        if proc is not None:
+            proc.kill()
+            proc.join()
+        self._start(i)
+
+    def close(self) -> None:
+        """Stop and reap every worker: SIGTERM (drain, then exit), SIGKILL
+        for any still running after ``_STOP_SECONDS``.  Idempotent."""
+        procs = [p for p in self.processes if p is not None]
+        self.processes = [None] * len(self.processes)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join(_STOP_SECONDS)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)

@@ -9,9 +9,10 @@ retrying at all (delegated to the taxonomy in
 cost model's per-job estimates, and when a persistently failing executor
 tier should be abandoned for the next rung of the degradation ladder.
 
-:class:`ChunkLease` is the per-chunk deadline record the process executor
-keeps while futures are in flight: issued at dispatch, checked against a
-monotonic clock, expired leases trigger pool teardown and re-dispatch.
+:class:`ChunkLease` is a per-chunk deadline record (issued at dispatch,
+checked against a monotonic clock).  The dispatch executor enforces
+leases as socket deadlines instead, so nothing in the serving stack
+keeps one any more.
 
 :class:`CircuitBreaker` is the per-worker health gate the remote
 registry consults before placement: dispatch outcomes feed failure and
@@ -54,8 +55,9 @@ class RetryPolicy:
     ``bisect`` controls whether a chunk that exhausts its retries with an
     isolatable error is split to hunt the poison job;
     ``max_pool_breakages`` is the degradation-ladder trigger: once one
-    service tears down that many broken/hung pools, it stops dispatching
-    to processes and degrades to the thread tier.
+    service's dispatch executor counts that many worker breakages
+    (relaunches of its own workers, or remote workers lost), it stops
+    dispatching and degrades to the serial tier.
     """
 
     max_attempts: int = 3

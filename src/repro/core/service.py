@@ -8,48 +8,47 @@ bundles plus throughput statistics.  Verification of a served batch goes
 through the detached :class:`~repro.core.api.MatmulVerifier`; same-key
 Groth16 bundles use the small-exponent batch check.
 
-Four executor strategies are available (``executor=``):
+Three executor strategies are available (``executor=``):
 
-* ``"serial"`` — every group in the calling thread, in order;
-* ``"thread"`` — groups overlap on a thread pool (GIL-bound: mainly
-  overlaps waiting, the PR-2 default);
+* ``"serial"`` — every group in the calling process, in order (the
+  default);
 * ``"process"`` — groups (sharded by :class:`~repro.core.pool.
-  GroupChunkPolicy`) run on worker *processes* that rehydrate keys from
-  the KeyStore's disk root and return wire-format bundles — the
-  multi-core path.  Groups too small to amortise the process hop, and
-  Groth16 groups when the keystore has no disk root to rehydrate from,
-  stay in-process (``ServiceReport.placements`` records the decision);
-* ``"remote"`` — the same chunks dispatched over TCP to a fleet of
-  worker *hosts* (:class:`~repro.core.remote.RemoteProvingExecutor`),
+  GroupChunkPolicy`) run on a :class:`~repro.core.remote_worker.
+  LocalFleet` of ``workers`` loopback worker processes that this service
+  starts by fork at its first dispatch and owns: before every dispatch
+  round it relaunches any that died or hung, and :meth:`ProvingService.
+  close` stops them.  Workers read keys from the KeyStore's disk root,
+  or adopt the keypair the service pushes over the wire, and return
+  wire-format bundles — the multi-core path.  Groups too small to
+  amortise the hop stay in-process (``ServiceReport.placements`` records
+  the decision);
+* ``"remote"`` — the same chunks dispatched to a fleet of worker *hosts*,
   addressed via ``remote_workers=`` or the ``REPRO_REMOTE_WORKERS``
-  environment variable (``host:port,host:port``).  Workers rehydrate
-  keys from their own KeyStore or request them over the wire, and the
-  chunk policy's placement decisions follow the registry's live worker
-  count — the multi-box path.
+  environment variable (``host:port,host:port``); the chunk policy's
+  placement decisions follow the registry's live worker count — the
+  multi-box path.
+
+Both dispatch tiers run through one
+:class:`~repro.core.remote.RemoteProvingExecutor`.
 
 Failure semantics (details in DESIGN.md "Failure semantics"): every
 failure is classified into the typed taxonomy of
 :mod:`repro.core.errors`; transient failures are retried under the
 service's :class:`~repro.core.resilience.RetryPolicy` (deterministic
-backoff, per-chunk lease deadlines on the process and remote tiers);
-jobs that fail persistently are bisected down and *quarantined* so the
-rest of their batch still proves; chunk-fatal pool failures fall back to
-inline serving of only the missing jobs; and a service whose pool keeps
-breaking degrades down the executor ladder
-(remote → process → thread → serial).
+backoff, per-chunk lease deadlines on the dispatch tiers); jobs that
+fail persistently are bisected down and *quarantined* so the rest of
+their batch still proves; chunk-fatal failures fall back to inline
+serving of only the missing jobs; and a service whose workers keep
+breaking degrades down the executor ladder (fleet → serial).
 Per-job outcomes — status, attempts, error — are reported in
 ``ServiceReport.job_outcomes``; ladder and fallback events in
 ``ServiceReport.fallbacks``.
-
-This is the layer the ROADMAP's scaling PRs (async dispatch, remote
-workers) build on: jobs are already data, results are already bytes.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,13 +60,14 @@ from .artifacts import CircuitRegistry, KeyStore, default_keystore, default_regi
 from .backends import get_backend
 from .bundle import MatmulProofBundle
 from .errors import ProvingError, wrap_error
-from .pool import GroupChunkPolicy, ProcessProvingExecutor
+from .pool import GroupChunkPolicy
 from .remote import RemoteProvingExecutor
+from .remote_worker import LocalFleet
 from .resilience import RetryPolicy
 
 CircuitKeyT = Tuple[int, int, int, str, str]  # (a, n, b, strategy, backend)
 
-EXECUTORS = ("serial", "thread", "process", "remote")
+EXECUTORS = ("serial", "process", "remote")
 
 #: comma-separated ``host:port`` fleet for ``executor="remote"`` when no
 #: explicit ``remote_workers`` is passed
@@ -136,23 +136,24 @@ class ServiceReport:
     wall_seconds: float = 0.0
     setup_seconds: float = 0.0
     groups: Dict[CircuitKeyT, int] = field(default_factory=dict)
-    #: circuit groups that failed *as a group* (setup raised, or process
-    #: chunks died unrecoverably with fallback disabled), with the error
-    #: message; a group error never takes down the other groups, and a
-    #: partially-served group keeps the results it did produce
+    #: circuit groups that failed *as a group* (setup raised, or
+    #: dispatched chunks died unrecoverably with fallback disabled), with
+    #: the error message; a group error never takes down the other
+    #: groups, and a partially-served group keeps the results it did
+    #: produce
     errors: Dict[CircuitKeyT, str] = field(default_factory=dict)
     #: jobs rejected before grouping (malformed shapes), by job id
     invalid_jobs: Dict[int, str] = field(default_factory=dict)
     #: where each group actually ran: ``"inline"`` (calling process),
-    #: ``"process"`` (pool workers), or ``"process+inline"`` (chunk-fatal
-    #: process errors re-served inline) — populated by the process
-    #: executor, where the chunk policy makes a per-group decision
+    #: ``"process"``/``"remote"`` (workers), or ``"process+inline"``
+    #: (chunk-fatal errors re-served inline) — populated by the dispatch
+    #: executors, where the chunk policy makes a per-group decision
     placements: Dict[CircuitKeyT, str] = field(default_factory=dict)
     #: one record per job: status ok/failed/quarantined/invalid, attempt
     #: count, and the (typed, stringified) error if any
     job_outcomes: Dict[int, JobOutcome] = field(default_factory=dict)
     #: degradation events, oldest first: inline re-serves of failed
-    #: chunks, the process → thread executor flip, thread → serial
+    #: chunks, and the fleet → serial executor flip
     fallbacks: List[str] = field(default_factory=list)
     #: True only if *every* job produced a bundle and every bundle
     #: verified — a batch with errors, invalid jobs, or failed/quarantined
@@ -179,20 +180,19 @@ class ProvingService:
     """Groups prove jobs by circuit and serves them through shared
     artifacts.
 
-    ``workers`` bounds the pool over *groups* (and, for the process
-    executor, over group *chunks*) — a circuit's witness assignment is
-    stateful, so jobs within a chunk run sequentially while distinct
-    circuits (or shards of one circuit, each with its own worker-local
-    circuit instance) overlap.  ``executor`` picks the strategy: see the
-    module docstring.  The process executor ignores ``rng`` — workers use
-    their own entropy, so deterministic-rng tests should stay on
-    ``"serial"``/``"thread"``.
+    ``workers`` is the size of the process executor's fleet — a
+    circuit's witness assignment is stateful, so jobs within a chunk run
+    sequentially while distinct circuits (or shards of one circuit, each
+    with its own worker-local circuit instance) overlap.  ``executor``
+    picks the strategy: see the module docstring.  The dispatch executors
+    ignore ``rng`` — workers use their own entropy, so deterministic-rng
+    tests should stay on ``"serial"``.
 
     ``retry_policy`` tunes the fault-tolerance layer (attempts, backoff,
-    chunk leases, bisection, the pool-breakage budget); ``fallback=False``
-    disables the degradation ladder — chunk-fatal process errors are then
-    reported instead of re-served inline, and the executor never flips
-    tiers (useful when callers want failures loud).
+    chunk leases, bisection, the worker-breakage budget);
+    ``fallback=False`` disables the degradation ladder — chunk-fatal
+    errors are then reported instead of re-served inline, and the
+    executor never flips tiers (useful when callers want failures loud).
     """
 
     def __init__(
@@ -201,8 +201,7 @@ class ProvingService:
         registry: Optional[CircuitRegistry] = None,
         keystore: Optional[KeyStore] = None,
         rng=None,
-        executor: str = "thread",
-        start_method: Optional[str] = None,
+        executor: str = "serial",
         chunk_policy: Optional[GroupChunkPolicy] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fallback: bool = True,
@@ -222,7 +221,7 @@ class ProvingService:
         )
         self.fallback = fallback
         self._rng = rng
-        self._start_method = start_method
+        self._heartbeat_seconds = heartbeat_seconds
         self._queue: List[ProveJob] = []
         self._next_id = 0
         self._provers: Dict[CircuitKeyT, MatmulProver] = {}
@@ -231,11 +230,10 @@ class ProvingService:
             if chunk_policy is not None
             else GroupChunkPolicy(workers=self.workers)
         )
-        self._pool: Optional[ProcessProvingExecutor] = None
+        #: the chunk executor of the dispatch tiers; the process tier's,
+        #: with its owned fleet, is built at the first dispatch
         self._remote: Optional[RemoteProvingExecutor] = None
-        if executor == "process":
-            self._pool = self._build_process_pool()
-        elif executor == "remote":
+        if executor == "remote":
             if remote_workers is None:
                 env_fleet = os.environ.get(REMOTE_WORKERS_ENV, "")
                 remote_workers = [a for a in env_fleet.split(",") if a.strip()]
@@ -244,25 +242,21 @@ class ProvingService:
                     "executor='remote' needs remote_workers= "
                     f"(or {REMOTE_WORKERS_ENV}=host:port,...)"
                 )
-            self._remote = RemoteProvingExecutor(
-                remote_workers,
-                retry_policy=self.retry_policy,
-                key_provider=self._key_bytes_for,
-                heartbeat_seconds=heartbeat_seconds,
-            )
+            self._remote = self._executor_for(remote_workers)
 
-    def _build_process_pool(self) -> ProcessProvingExecutor:
-        return ProcessProvingExecutor(
-            workers=self.workers,
-            keystore_root=self.keystore.root,
-            start_method=self._start_method,
+    def _executor_for(self, addrs, fleet: Optional[LocalFleet] = None):
+        return RemoteProvingExecutor(
+            addrs,
             retry_policy=self.retry_policy,
+            key_provider=self._key_bytes_for,
+            heartbeat_seconds=self._heartbeat_seconds,
+            fleet=fleet,
         )
 
     def _key_bytes_for(
         self, shape: Tuple[int, int, int], strategy: str, backend_name: str
     ) -> bytes:
-        """Serialized setup artifacts for a remote worker's KEY_REQUEST.
+        """Serialized setup artifacts for a worker's KEY_REQUEST.
 
         ``create=False``: the dispatch path materialises artifacts before
         submitting chunks, so a request for a key this service never set
@@ -404,22 +398,13 @@ class ProvingService:
         self,
         groups: Dict[CircuitKeyT, List[ProveJob]],
         report: ServiceReport,
-        pool,
-        tier: str,
     ):
-        """Dispatch groups to a chunk executor pool, sharding large ones.
-
-        ``pool`` is either the process executor or the remote executor —
-        both speak ``start``/``finish`` over ``(tag, jobs_blob)`` chunks
-        and count ``breakages`` — and ``tier`` names the rung
-        (``"process"``/``"remote"``) for placements and fallback records.
+        """Dispatch groups to the workers, sharding large ones.
 
         Returns the same ``(key, results, records, error)`` outcome tuples
-        the in-process paths produce.  Groups the chunk policy deems too
-        small for a dispatch hop stay inline; so do Groth16 groups the
-        process tier cannot key (no disk root) — the remote tier instead
-        pushes keys over the wire, so it dispatches regardless, but only
-        across the workers its registry currently believes live.  Each
+        the in-process path produces.  Groups the chunk policy deems too
+        small for a dispatch hop stay inline; the rest fan out across the
+        workers the registry currently believes placeable.  Each
         dispatched chunk carries a lease deadline derived from its
         predicted proving time; the executor retries, bisects, and
         quarantines per the retry policy, and whatever still fails as a
@@ -430,32 +415,27 @@ class ProvingService:
         outcomes = []
         inline: List[Tuple[CircuitKeyT, List[ProveJob]]] = []
         dispatched: List[CircuitKeyT] = []
-        live_workers = None
-        if tier == "remote":
+        tier = self.executor
+        pool = self._remote
+        if pool is None:
+            live_workers = self.workers  # the fleet to be launched
+        else:
+            pool.revive()
             # Breaker-aware: a reachable worker whose circuit is open is
             # not a dispatch target, so chunk fan-out must not count it.
             live_workers = pool.registry.placeable_count()
         for key, jobs in groups.items():
             backend = get_backend(key[4])
-            can_dispatch = (
-                tier == "remote"
-                or self.keystore.root is not None
-                or not backend.requires_setup
-            )
-            n_chunks = (
-                self._chunk_policy.plan(key, len(jobs), workers=live_workers)
-                if can_dispatch
-                else 0
-            )
+            n_chunks = self._chunk_policy.plan(key, len(jobs), workers=live_workers)
             if n_chunks <= 0:
                 report.placements[key] = "inline"
                 inline.append((key, jobs))
                 continue
             try:
                 # Workers never mint keys: the parent materialises setup
-                # artifacts first — published to the disk root for process
-                # workers to rehydrate, held in memory to answer remote
-                # workers' KEY_REQUESTs.
+                # artifacts first — published to the disk root (if any)
+                # for workers to read, held in memory to answer their
+                # KEY_REQUESTs.
                 if backend.requires_setup:
                     self._prover_for(key)._artifacts()
                 blobs = [
@@ -477,10 +457,16 @@ class ProvingService:
                 tasks.append((tag, blob))
                 if lease is not None:
                     timeouts[tag] = lease
+        if tasks and pool is None:
+            # First dispatch: launch the owned fleet from this thread.
+            fleet = LocalFleet(
+                self.workers, keystore_root=self.keystore.root, tier="process"
+            )
+            pool = self._remote = self._executor_for(fleet.addrs, fleet)
         # Submit chunks before serving inline groups: the workers prove
         # concurrently while the parent handles the inline tail, instead
-        # of the inline groups being dead serial time before the pool
-        # even starts.
+        # of the inline groups being dead serial time before the workers
+        # even start.
         futures = pool.start(tasks, timeouts) if tasks else None
         outcomes.extend(
             self._serve_group_safe(key, jobs) for key, jobs in inline
@@ -529,8 +515,8 @@ class ProvingService:
                 }
                 error_msgs = [str(e) for e in chunk_fatal.get(key, [])]
                 if error_msgs and self.fallback:
-                    # Chunk-fatal process errors (e.g. MissingKey when the
-                    # disk artifacts vanished) degrade to inline serving of
+                    # Chunk-fatal errors (e.g. MissingKey when the disk
+                    # artifacts vanished) degrade to inline serving of
                     # only the jobs that have neither a proof nor a
                     # quarantine record — the parent may be able to do
                     # what the read-only workers could not.
@@ -562,26 +548,15 @@ class ProvingService:
                 and pool.breakages >= self.retry_policy.max_pool_breakages
             ):
                 # This tier keeps losing workers (crashes/hangs/dead
-                # hosts): stop feeding it.  Future batches run one rung
-                # down the ladder — remote → process → thread → serial.
-                if tier == "remote":
-                    report.fallbacks.append(
-                        f"executor remote->process after "
-                        f"{pool.breakages} fleet breakage(s)"
-                    )
-                    pool.shutdown()
-                    self._remote = None
-                    self.executor = "process"
-                    if self._pool is None:
-                        self._pool = self._build_process_pool()
-                else:
-                    report.fallbacks.append(
-                        f"executor process->thread after "
-                        f"{pool.breakages} pool breakage(s)"
-                    )
-                    pool.shutdown()
-                    self._pool = None
-                    self.executor = "thread"
+                # hosts): stop feeding it.  Future batches are served
+                # in-process — the bottom of the ladder.
+                report.fallbacks.append(
+                    f"executor {tier}->serial after "
+                    f"{pool.breakages} worker breakage(s)"
+                )
+                pool.shutdown()
+                self._remote = None
+                self.executor = "serial"
         return outcomes
 
     def run(self, verify: bool = False) -> ServiceReport:
@@ -625,41 +600,10 @@ class ProvingService:
                 error=msg,
             )
         if groups:
-            if self.executor == "remote" and self._remote is not None:
-                outcomes = self._serve_groups_pool(
-                    groups, report, self._remote, "remote"
-                )
-            elif self.executor == "process" and self._pool is not None:
-                outcomes = self._serve_groups_pool(
-                    groups, report, self._pool, "process"
-                )
-            elif (
-                self.executor == "serial"
-                or self.workers == 1
-                or len(groups) == 1
-            ):
+            if self.executor == "serial":
                 outcomes = [self._serve_group_safe(k, v) for k, v in groups.items()]
             else:
-                try:
-                    with ThreadPoolExecutor(
-                        max_workers=min(self.workers, len(groups))
-                    ) as pool:
-                        outcomes = list(
-                            pool.map(
-                                lambda kv: self._serve_group_safe(*kv),
-                                groups.items(),
-                            )
-                        )
-                except (RuntimeError, OSError) as exc:
-                    # Thread tier unavailable (cannot start threads):
-                    # bottom rung of the ladder is plain serial serving.
-                    report.fallbacks.append(
-                        f"executor thread->serial "
-                        f"({type(exc).__name__}: {exc})"
-                    )
-                    outcomes = [
-                        self._serve_group_safe(k, v) for k, v in groups.items()
-                    ]
+                outcomes = self._serve_groups_pool(groups, report)
             for key, batch, job_records, error in outcomes:
                 report.results.extend(batch)
                 report.job_outcomes.update(job_records)
@@ -704,22 +648,23 @@ class ProvingService:
         return report
 
     def close(self) -> None:
-        """Release the worker pool (process executor only).  Idempotent:
-        safe to call repeatedly, after a degradation flip dropped the
-        pool, and on services that never had one.
+        """Release the dispatch executor.  Idempotent: safe to call
+        repeatedly, after a degradation flip dropped the executor, and on
+        services that never had one.
 
-        The pool is kept alive across batches so workers retain their
-        circuit/keypair/table caches; long-lived services that are done
-        proving call this to reap the worker processes (interpreter exit
-        reaps them regardless; a batch served after close() lazily builds
-        a fresh pool).  For the remote executor this drains in-flight
-        dispatches, stops the heartbeat, and closes the pooled
-        connections, but leaves the worker fleet running — the fleet
-        outlives any one dispatcher."""
-        if self._pool is not None:
-            self._pool.shutdown()
-        if self._remote is not None:
-            self._remote.shutdown(drain=True)
+        The owned fleet is kept alive across batches so workers retain
+        their circuit/keypair/table caches; long-lived services that are
+        done proving call this to stop and reap the worker processes (a
+        batch served after close() lazily launches a fresh fleet).  For
+        the remote executor this drains in-flight dispatches, stops the
+        heartbeat, and closes the pooled connections, but leaves the
+        worker hosts running — a fleet outlives any one dispatcher."""
+        pool = self._remote
+        if pool is None:
+            return
+        pool.shutdown(drain=True)
+        if pool.fleet is not None:
+            self._remote = None
 
     # -- verification -------------------------------------------------------------
     def verify_report(self, report: ServiceReport) -> bool:

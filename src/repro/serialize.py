@@ -458,7 +458,7 @@ def matmul_bundle_from_bytes(data: bytes):
 
 # -- prove-job / job-result wire envelopes ---------------------------------------
 #
-# The process-pool executor (``repro.core.pool``) ships whole circuit
+# The dispatch executor (``repro.core.remote``) ships whole circuit
 # groups to worker processes as bytes: jobs go out as these envelopes,
 # results come back as wire-format bundles plus timing.  Matrix entries
 # are encoded canonically mod R — the circuits operate mod R, so the

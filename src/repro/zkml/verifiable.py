@@ -58,11 +58,9 @@ class VerifiableInference:
     ``executor`` opts the layer proofs into the
     :class:`~repro.core.service.ProvingService` executor strategies:
     ``"serial"`` (default) proves layers in this process, ``"process"``
-    shards the captured layer matmuls across worker processes — the
-    multi-layer forward pass is exactly the many-jobs-few-circuits
-    workload the process pool is built for.  With ``"process"`` and a
-    Groth16 backend, pass a disk-rooted ``keystore`` so workers can
-    rehydrate the keypairs.
+    shards the captured layer matmuls across the service's worker
+    processes — the multi-layer forward pass is exactly the
+    many-jobs-few-circuits workload the fleet is built for.
     """
 
     def __init__(
@@ -170,9 +168,9 @@ class VerifiableInference:
             from ..core.service import ProvingService
 
             # One service for the lifetime of this instance: the process
-            # executor's worker pool (and its per-worker circuit/key/table
-            # caches) then amortises across prove() calls instead of
-            # being rebuilt and leaked per inference.
+            # executor's workers (and their circuit/key/table caches) then
+            # amortise across prove() calls instead of being relaunched
+            # and leaked per inference.
             self._service = ProvingService(
                 workers=self.workers,
                 registry=self._registry,
@@ -259,7 +257,7 @@ class VerifiableInference:
         return True
 
     def close(self) -> None:
-        """Reap the proving service's worker pool, if one was started."""
+        """Stop the proving service's workers, if any were started."""
         if self._service is not None:
             self._service.close()
 

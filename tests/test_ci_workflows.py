@@ -145,6 +145,18 @@ def test_chaos_soak_runs_nightly_not_on_prs():
                for _, step in _run_steps(nightly))
 
 
+def test_remote_fleet_job_uses_the_one_launcher():
+    """The standing fleet starts through ``LocalFleet`` (the launcher the
+    process executor uses), and the job runs the process executor's
+    owned-fleet suite next to the remote and fault-matrix suites."""
+    ci = _load(os.path.join(WORKFLOW_DIR, "ci.yml"))
+    (run,) = [step["run"] for _, step in _run_steps(ci)
+              if "REPRO_REMOTE_WORKERS" in step["run"]]
+    assert "LocalFleet(" in run
+    for suite in ("test_remote.py", "test_resilience.py", "test_pool.py"):
+        assert f"tests/{suite}" in run
+
+
 def test_ci_runs_e2e_benchmark_tests():
     """The e2e benchmark's own tests guard its trace points (named
     functions it wraps from the outside) against renames in src/."""

@@ -13,14 +13,13 @@ Three layers of coverage:
   the same results as the process tier (byte-identical for Groth16 under
   a pinned worker rng seed and a shared keystore root), survive a worker
   dying mid-batch with zero lost or duplicated jobs, distribute keys to
-  diskless workers on demand, and degrade remote → process when the
+  diskless workers on demand, and degrade remote → serial when the
   whole fleet is unreachable.
 """
 
 import os
 import socket
 import struct
-import subprocess
 import time
 
 import pytest
@@ -52,7 +51,7 @@ from repro.core.remote import (
     recv_frame,
     send_frame,
 )
-from repro.core.remote_worker import launch_loopback_workers, stop_workers
+from repro.core.remote_worker import LocalFleet
 
 FAST = RetryPolicy(
     max_attempts=3,
@@ -212,7 +211,8 @@ class TestWorkerRegistry:
             reg.next_worker()
 
     def test_ping_marks_unreachable_dead_and_live_alive(self):
-        addrs, procs = launch_loopback_workers(1)
+        fleet = LocalFleet(1)
+        addrs = fleet.addrs
         try:
             dead = ("127.0.0.1", free_port())
             reg = WorkerRegistry([addrs[0], dead], connect_timeout=2.0)
@@ -223,7 +223,7 @@ class TestWorkerRegistry:
             live = reg.healthy()
             assert [w.addr for w in live] == [parse_worker_addr(addrs[0])]
         finally:
-            stop_workers(procs)
+            fleet.close()
 
 
 # -- executor through the service -------------------------------------------------
@@ -231,7 +231,8 @@ class TestWorkerRegistry:
 
 class TestRemoteService:
     def test_spartan_batch_serves_and_verifies_remotely(self, tmp_path):
-        addrs, procs = launch_loopback_workers(2)
+        fleet = LocalFleet(2)
+        addrs = fleet.addrs
         svc = make_service(tmp_path, "remote", remote_workers=addrs)
         try:
             ids = submit_jobs(svc, n=6)
@@ -242,7 +243,7 @@ class TestRemoteService:
             assert placement == "remote"
         finally:
             svc.close()
-            stop_workers(procs)
+            fleet.close()
 
     def test_groth16_byte_identical_to_process_tier(self, tmp_path, monkeypatch):
         """The acceptance bar: executor="remote" and executor="process"
@@ -264,7 +265,8 @@ class TestRemoteService:
 
         # Diskless workers launched *after* the seed is in the env; the
         # keypair reaches them over the wire via KEY_REQUEST/KEY_PUSH.
-        addrs, procs = launch_loopback_workers(2)
+        fleet = LocalFleet(2)
+        addrs = fleet.addrs
         svc = make_service(tmp_path, "remote", remote_workers=addrs)
         try:
             for x, w in jobs:
@@ -272,7 +274,7 @@ class TestRemoteService:
             remote_report = svc.run(verify=True)
         finally:
             svc.close()
-            stop_workers(procs)
+            fleet.close()
         assert remote_report.verified is True
         assert all(p == "remote" for p in remote_report.placements.values())
 
@@ -283,9 +285,10 @@ class TestRemoteService:
         """Kill one of two workers before dispatch: every chunk routed to
         the corpse must come back typed, re-dispatch to the survivor, and
         the batch must end with exactly one proof per job."""
-        addrs, procs = launch_loopback_workers(2)
-        procs[0].kill()
-        procs[0].wait(timeout=10)
+        fleet = LocalFleet(2)
+        addrs = fleet.addrs
+        fleet.processes[0].kill()
+        fleet.processes[0].join(10)
         svc = make_service(tmp_path, "remote", remote_workers=addrs)
         try:
             ids = submit_jobs(svc, n=6)
@@ -300,13 +303,14 @@ class TestRemoteService:
             assert svc._remote.breakages >= 1
         finally:
             svc.close()
-            stop_workers(procs)
+            fleet.close()
 
     def test_key_distribution_to_diskless_workers(self, tmp_path):
         """Groth16 on a fleet with no keystore: workers must adopt the
         dispatcher's keypair over the wire (observable in PONG stats),
         and keep it cached across batches."""
-        addrs, procs = launch_loopback_workers(2)
+        fleet = LocalFleet(2)
+        addrs = fleet.addrs
         svc = make_service(tmp_path, "remote", remote_workers=addrs)
         try:
             submit_jobs(svc, n=4, backend="groth16", shape=(2, 2, 2))
@@ -329,11 +333,11 @@ class TestRemoteService:
             assert adopted() == first  # cached: no re-adoption
         finally:
             svc.close()
-            stop_workers(procs)
+            fleet.close()
 
-    def test_unreachable_fleet_degrades_remote_to_process(self, tmp_path):
+    def test_unreachable_fleet_degrades_remote_to_serial(self, tmp_path):
         """Every dispatch refused: chunks fall back inline (no job lost)
-        and the executor steps down the ladder to the process tier."""
+        and the executor steps down the ladder to the serial tier."""
         fleet = [f"127.0.0.1:{free_port()}" for _ in range(2)]
         svc = make_service(
             tmp_path,
@@ -352,21 +356,23 @@ class TestRemoteService:
             assert report.verified is True  # inline fallback served them
             assert sorted(r.job_id for r in report.results) == sorted(ids)
             assert any("remote->inline" in f for f in report.fallbacks)
-            assert any("remote->process" in f for f in report.fallbacks)
-            assert svc.executor == "process"
+            assert any("remote->serial" in f for f in report.fallbacks)
+            assert svc.executor == "serial"
             assert svc._remote is None
         finally:
             svc.close()
 
     def test_shutdown_workers_drains_owned_fleet(self, tmp_path):
-        addrs, procs = launch_loopback_workers(1)
+        fleet = LocalFleet(1)
+        addrs = fleet.addrs
         try:
             ex = RemoteProvingExecutor(addrs)
             ex.shutdown_workers()
             ex.shutdown()
-            assert procs[0].wait(timeout=10) == 0
+            fleet.processes[0].join(10)
+            assert fleet.processes[0].exitcode == 0
         finally:
-            stop_workers(procs)
+            fleet.close()
 
     def test_remote_executor_requires_a_fleet(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_REMOTE_WORKERS", raising=False)
@@ -389,7 +395,8 @@ class TestAuthenticatedRemoteService:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(remote.TOKEN_ENV, "remote-suite-token")
-        addrs, procs = launch_loopback_workers(2)
+        fleet = LocalFleet(2)
+        addrs = fleet.addrs
         svc = make_service(tmp_path, "remote", remote_workers=addrs)
         try:
             ids = submit_jobs(svc, n=6)
@@ -410,11 +417,12 @@ class TestAuthenticatedRemoteService:
             assert stats["dispatches"] > stats["connects"]
         finally:
             svc.close()
-            stop_workers(procs)
+            fleet.close()
 
     def test_wrong_token_client_is_rejected_typed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(remote.TOKEN_ENV, "remote-suite-token")
-        addrs, procs = launch_loopback_workers(1)
+        fleet = LocalFleet(1)
+        addrs = fleet.addrs
         try:
             with pytest.raises(remote.FleetAuthError) as excinfo:
                 remote.open_connection(
@@ -423,4 +431,4 @@ class TestAuthenticatedRemoteService:
             assert excinfo.value.kind == "auth-failed"
             assert excinfo.value.retryable is False
         finally:
-            stop_workers(procs)
+            fleet.close()

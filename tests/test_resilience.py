@@ -1,7 +1,7 @@
 """Fault-tolerant proving pipeline.
 
 The fault matrix {crash, hang, corrupt envelope, missing key, poison job}
-x {serial, thread, process, remote} drives every injected failure through
+x {serial, process, remote} drives every injected failure through
 the full service stack and asserts the structured outcome: retryable faults
 *recover* (every job proves and verifies), non-retryable faults degrade
 to a quarantine record or an inline fallback — never a hang, never a raw
@@ -31,7 +31,6 @@ from repro.core import (
     KeyStore,
     MissingKey,
     PoisonJob,
-    ProcessProvingExecutor,
     ProvingError,
     ProvingService,
     RetryPolicy,
@@ -39,11 +38,12 @@ from repro.core import (
     wrap_error,
 )
 from repro.core.faultinject import ENV_VAR
-from repro.core.remote_worker import launch_loopback_workers, stop_workers
+from repro.core.remote import RemoteProvingExecutor
+from repro.core.remote_worker import LocalFleet
 
-EXECUTORS = ("serial", "thread", "process", "remote")
+EXECUTORS = ("serial", "process", "remote")
 #: the dispatch tiers whose chunk-fatal errors fall back inline (vs the
-#: inline tiers, where a non-retryable fault fails just the hit job)
+#: inline tier, where a non-retryable fault fails just the hit job)
 DISPATCH_TIERS = ("process", "remote")
 FAULTS = ("crash", "hang", "corrupt", "missing_key", "poison")
 
@@ -57,11 +57,11 @@ FAST = RetryPolicy(
     lease_multiplier=40.0,
 )
 
-#: remote-tier variant: the lease is enforced as a *socket deadline* on
+#: dispatch-tier variant: the lease is enforced as a *socket deadline* on
 #: the dispatcher, so for the hang cell to actually expire it the lease
 #: must sit below the injected 15s sleep — pin it to the 1s floor (honest
 #: loopback chunks of tiny spartan proofs finish in milliseconds)
-REMOTE_FAST = RetryPolicy(
+DISPATCH_FAST = RetryPolicy(
     max_attempts=3,
     backoff_base_seconds=0.001,
     lease_floor_seconds=1.0,
@@ -109,7 +109,8 @@ class TestFaultMatrix:
     def test_cell(self, tmp_path, monkeypatch, executor, kind):
         target = 2  # job id the targeted faults single out
         # Remote workers only receive specs explicitly addressed to their
-        # tier (scoped_env strips everything else from the launch env).
+        # tier (scoped_env strips everything else from the launch env);
+        # the service's own fleet sees the whole plan.
         tier = "remote" if executor == "remote" else None
         if kind == "poison":
             # fires on *every* attempt: must end in quarantine, with the
@@ -134,22 +135,22 @@ class TestFaultMatrix:
                 FaultSpec(kind=kind, times=1, seconds=15.0, tier=tier),
             )
         kwargs = {}
-        procs = []
+        fleet = None
+        if executor in DISPATCH_TIERS:
+            kwargs["retry_policy"] = DISPATCH_FAST
         if executor == "remote":
             # Launched *after* install(): the plan must be in the env the
             # loopback workers inherit (remote-tier specs only).
-            from repro.core.remote_worker import launch_loopback_workers
-
-            addrs, procs = launch_loopback_workers(2)
-            kwargs["remote_workers"] = addrs
-            kwargs["retry_policy"] = REMOTE_FAST
+            fleet = LocalFleet(2)
+            kwargs["remote_workers"] = fleet.addrs
         svc = make_service(tmp_path, executor, **kwargs)
         ids = submit_batch(svc)
         try:
             report = svc.run(verify=True)
         finally:
             svc.close()
-            stop_workers(procs)
+            if fleet is not None:
+                fleet.close()
 
         statuses = {j: o.status for j, o in report.job_outcomes.items()}
         assert set(statuses) == set(ids)
@@ -179,7 +180,7 @@ class TestFaultMatrix:
                 assert any(
                     f"{executor}->inline" in f for f in report.fallbacks
                 )
-            if kind in ("crash", "hang") and executor != "process":
+            if kind in ("crash", "hang"):
                 # the injected failure burned a visible attempt
                 assert any(
                     o.attempts > 1 for o in report.job_outcomes.values()
@@ -195,12 +196,12 @@ class TestFaultMatrix:
 
 
 class TestDegradationLadder:
-    def test_repeated_pool_breakage_flips_to_thread(
+    def test_repeated_pool_breakage_flips_to_serial(
         self, tmp_path, monkeypatch
     ):
-        """A process service whose pool keeps dying degrades to the
-        thread tier — and the thread tier then serves cleanly once the
-        (process-only) fault stops firing."""
+        """A process service whose workers keep dying degrades to the
+        serial tier — and the serial tier then serves cleanly once the
+        (worker-only) fault stops firing."""
         install(
             monkeypatch, tmp_path, FaultSpec(kind="crash", times=None)
         )
@@ -217,11 +218,12 @@ class TestDegradationLadder:
         )
         submit_batch(svc, n=2)
         svc.run()
-        assert svc.executor == "process"  # one breakage: still trying
+        # both workers died; nothing relaunched them yet: still trying
+        assert svc.executor == "process"
         submit_batch(svc, n=2)
-        report = svc.run()
-        assert svc.executor == "thread"
-        assert any("process->thread" in f for f in report.fallbacks)
+        report = svc.run()  # relaunches both: two breakages
+        assert svc.executor == "serial"
+        assert any("process->serial" in f for f in report.fallbacks)
         monkeypatch.delenv(ENV_VAR)
         ids = submit_batch(svc, n=2)
         report = svc.run(verify=True)
@@ -247,9 +249,13 @@ class TestDegradationLadder:
 
 class TestIdempotentShutdown:
     def test_executor_shutdown_idempotent(self, tmp_path):
-        ex = ProcessProvingExecutor(workers=1, keystore_root=str(tmp_path))
-        ex.shutdown()  # before any pool exists
+        fleet = LocalFleet(1, keystore_root=str(tmp_path))
+        ex = RemoteProvingExecutor(fleet.addrs, fleet=fleet)
+        ex.shutdown()  # before any dispatch: stops the fleet
         ex.shutdown()
+        assert fleet.processes == [None]
+        fleet = LocalFleet(1, keystore_root=str(tmp_path))
+        ex = RemoteProvingExecutor(fleet.addrs, fleet=fleet)
         x, w = rand_mats(2, 2, 2, seed=0)
         from repro import serialize
 
@@ -258,6 +264,7 @@ class TestIdempotentShutdown:
         assert ("g", 0) in outcome.results
         ex.shutdown()
         ex.shutdown()  # after use, repeatedly
+        assert fleet.processes == [None]
 
     def test_service_close_idempotent_and_reusable(self, tmp_path):
         svc = make_service(tmp_path, "process")
@@ -265,7 +272,7 @@ class TestIdempotentShutdown:
         assert len(svc.run().results) == len(ids)
         svc.close()
         svc.close()
-        # a batch after close() lazily rebuilds the pool
+        # a batch after close() lazily launches a fresh fleet
         ids = submit_batch(svc, n=2, seed=1)
         report = svc.run(verify=True)
         assert report.verified is True
@@ -320,9 +327,7 @@ class TestRetryPolicy:
 class TestErrorTaxonomy:
     def test_wrap_error_classification(self):
         from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
 
-        assert isinstance(wrap_error(BrokenProcessPool("b")), WorkerCrash)
         assert isinstance(wrap_error(FuturesTimeout()), ChunkTimeout)
         assert isinstance(wrap_error(KeyError("k")), MissingKey)
         generic = wrap_error(ZeroDivisionError("den"), job_id=7)

@@ -37,7 +37,7 @@ from repro.core.remote import (
     recv_frame,
     send_frame,
 )
-from repro.core.remote_worker import launch_loopback_workers, stop_workers
+from repro.core.remote_worker import LocalFleet
 from repro.core.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -438,9 +438,8 @@ class TestAuthenticatedFleet:
     def test_auth_enforcement_and_pooled_dispatch(self, tmp_path, monkeypatch):
         token = "fleet-integration-token"
         monkeypatch.setenv(TOKEN_ENV, token)
-        addrs, procs = launch_loopback_workers(
-            2, keystore_root=str(tmp_path / "keys")
-        )
+        fleet = LocalFleet(2, keystore_root=str(tmp_path / "keys"))
+        addrs = fleet.addrs
         try:
             addr = parse_worker_addr(addrs[0])
 
@@ -478,4 +477,4 @@ class TestAuthenticatedFleet:
             finally:
                 executor.shutdown()
         finally:
-            stop_workers(procs)
+            fleet.close()
