@@ -39,7 +39,6 @@ from .remote_worker import LocalFleet
 from .resilience import (
     BARE_POLICY,
     BreakerConfig,
-    ChunkLease,
     CircuitBreaker,
     RetryPolicy,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "BACKENDS",
     "BARE_POLICY",
     "BreakerConfig",
-    "ChunkLease",
     "ChunkTimeout",
     "CircuitBreaker",
     "CircuitRegistry",

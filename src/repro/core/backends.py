@@ -234,20 +234,11 @@ class Groth16Backend(ProofBackend):
         artifacts: Groth16Artifacts,
         circuit: Optional[MatmulCircuit] = None,
     ) -> None:
-        """Build the fixed-base tables for the five query MSMs now.
-
-        The labels and base vectors are the ones
-        :func:`repro.groth16.prove.prove` runs on (:func:`query_bases`,
-        the blinding points included), so each subsequent proof under
-        this keypair starts at table speed instead of paying two generic
-        Pippenger MSMs per query first.  The cache's table budget still
-        applies: a key whose tables outgrow it keeps only the newest.
-        """
-        from ..curve.fixed_base import fixed_base_msm
-        from ..groth16.prove import query_bases
-
-        for label, bases in query_bases(artifacts.keypair.pk):
-            fixed_base_msm(label, bases, (), build_after=1)
+        """Build the proving key's five query tables now
+        (:meth:`~repro.groth16.keys.ProvingKey.tables`), so each
+        subsequent proof under this keypair starts at table speed instead
+        of its first proof running the generic MSMs."""
+        artifacts.keypair.pk.tables()
 
 
 # -- Spartan -------------------------------------------------------------------

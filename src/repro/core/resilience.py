@@ -9,11 +9,6 @@ retrying at all (delegated to the taxonomy in
 cost model's per-job estimates, and when a persistently failing executor
 tier should be abandoned for the next rung of the degradation ladder.
 
-:class:`ChunkLease` is a per-chunk deadline record (issued at dispatch,
-checked against a monotonic clock).  The dispatch executor enforces
-leases as socket deadlines instead, so nothing in the serving stack
-keeps one any more.
-
 :class:`CircuitBreaker` is the per-worker health gate the remote
 registry consults before placement: dispatch outcomes feed failure and
 latency EWMAs, a worker that fails too often trips *open* (no dispatches),
@@ -274,50 +269,3 @@ class CircuitBreaker:
 BARE_POLICY = RetryPolicy(
     max_attempts=1, lease_multiplier=0.0, bisect=False, max_pool_breakages=1 << 30
 )
-
-
-@dataclass
-class ChunkLease:
-    """One in-flight chunk's deadline accounting.
-
-    ``timeout_seconds=None`` means the chunk holds an indefinite lease
-    (never expires).  Times are ``time.monotonic`` values.
-    """
-
-    tag: object
-    timeout_seconds: Optional[float] = None
-    started: float = 0.0
-    attempt: int = 1
-
-    def __post_init__(self):
-        if not self.started:
-            self.started = time.monotonic()
-
-    @property
-    def deadline(self) -> Optional[float]:
-        if self.timeout_seconds is None:
-            return None
-        return self.started + self.timeout_seconds
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        deadline = self.deadline
-        if deadline is None:
-            return False
-        return (time.monotonic() if now is None else now) >= deadline
-
-    def remaining(self, now: Optional[float] = None) -> Optional[float]:
-        deadline = self.deadline
-        if deadline is None:
-            return None
-        return max(
-            0.0, deadline - (time.monotonic() if now is None else now)
-        )
-
-    def renew(self) -> "ChunkLease":
-        """A fresh lease for the next dispatch attempt of this chunk."""
-        return ChunkLease(
-            tag=self.tag,
-            timeout_seconds=self.timeout_seconds,
-            started=time.monotonic(),
-            attempt=self.attempt + 1,
-        )

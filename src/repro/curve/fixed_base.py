@@ -20,11 +20,12 @@ multiples of each base turns those MSMs into pure table lookups:
   like its magnitude.  Each call picks its window from the scalars it is
   given: a multiple of the stored step (every few stored shifts), or a
   divisor of it (a few bucket spaces, combined with doublings).
-* :func:`fixed_base_msm` — a keyed cache with promote-on-reuse semantics:
-  the first sighting of a base vector uses the generic
-  :func:`~repro.curve.msm.msm` (itself one C call for G1 under the vector
-  engine), the second builds tables.  One-shot callers never pay the
-  precompute.
+
+This module keeps no tables of its own: their owners hold them.  A Groth16
+proving key holds its five query tables, built by its second proof
+(:meth:`~repro.groth16.keys.ProvingKey.tables`), and they are freed with
+the key; the Hyrax prover grows one process-wide Pedersen table
+(:func:`~repro.spartan.commitment.pedersen_table`).
 
 Two engines run the tables, and :func:`repro.field.vector.active_impl`
 picks one per call, the same rule as for the field kernels:
@@ -55,7 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..field import vector as _vector
 from ..field.prime_field import BN254_FQ_MODULUS as _FQ
 from .bn254 import (
-    G1_OPS,
     AffinePoint,
     CURVE_ORDER,
     _group_of_any,
@@ -63,7 +63,6 @@ from .bn254 import (
     batch_affine_weighted_bucket_sums,
     group_of,
 )
-from .msm import msm as _generic_msm
 from .msm import (
     _check,
     _g1_kernels,
@@ -586,119 +585,3 @@ class FixedBaseMSM:
                     total = add_affine(total, pt)
             totals.append(total)
         return [ops.encode(pt) for pt in ops.normalize_batch(totals)]
-
-
-class _CacheEntry:
-    """One label's base vector, its promotion count and, once promoted,
-    its :class:`FixedBaseMSM`."""
-
-    __slots__ = ("points", "table", "hits")
-
-    def __init__(self, points: Sequence[AffinePoint]):
-        self.points = points
-        self.table: Optional[FixedBaseMSM] = None
-        self.hits = 0
-
-    def cost(self) -> int:
-        """Table memory in units of one G1 base's table, the unit of the
-        cache's budget: every table here stores the same shifts per base,
-        and a G2 point holds twice the ints of a G1 one."""
-        coords = _group_of_any(self.points).coords
-        return -(-len(self.points) * coords // G1_OPS.coords)
-
-    def build(self) -> None:
-        self.table = FixedBaseMSM(self.points)
-        _evict_oversized_tables(keep=self)
-
-
-# LRU keyed by caller label; sized for ~6 proving keys (5 labels each, one
-# per Groth16 query MSM) resident at once so rotating among a few keys
-# never churns out a half-promoted entry or a built table.  A second,
-# size-based bound caps the total table footprint of *promoted* entries,
-# in units of one G1 base's table (see :meth:`_CacheEntry.cost`): each
-# promoted G1 base pins 33 affine tuples of window table, a G2 base twice
-# the ints, so without it a few huge proving keys could pin gigabytes for
-# the life of the process.
-_FIXED_BASE_CACHE: Dict[object, _CacheEntry] = {}
-_CACHE_LIMIT = 30
-_CACHE_TABLE_POINT_LIMIT = 1 << 14
-
-
-def _cache_entry_for(
-    label: object, points: Sequence[AffinePoint]
-) -> _CacheEntry:
-    """Find-or-create the cache entry for ``label``, enforcing the
-    points-identity/content reset, back-of-dict LRU reinsertion, and size
-    bound — the one place those invariants live."""
-    entry = _FIXED_BASE_CACHE.pop(label, None)
-    if entry is not None and entry.points is not points:
-        # Identity miss: fall back to a content check so a rehydrated copy
-        # of the same base vector (a proving key reloaded from disk under
-        # its stable fingerprint label) keeps its promoted table.  Rebind
-        # to the new list so subsequent calls take the identity fast path.
-        if len(entry.points) == len(points) and all(
-            a == b for a, b in zip(entry.points, points)
-        ):
-            entry.points = points
-        else:
-            entry = None
-    if entry is None:
-        entry = _CacheEntry(points)
-    # Re-insert at the back: LRU order, so hot labels survive eviction.
-    _FIXED_BASE_CACHE[label] = entry
-    while len(_FIXED_BASE_CACHE) > _CACHE_LIMIT:
-        _FIXED_BASE_CACHE.pop(next(iter(_FIXED_BASE_CACHE)))
-    return entry
-
-
-def fixed_base_msm(
-    label: object,
-    points: Sequence[AffinePoint],
-    scalars: Sequence[int],
-    build_after: int = 2,
-) -> AffinePoint:
-    """MSM over ``points`` with promote-on-reuse fixed-base caching.
-
-    The first call under a given ``label`` runs the generic Pippenger MSM;
-    once the same base vector shows up ``build_after`` times, window tables
-    are built and every later call skips all doublings.  The cache holds a
-    reference to ``points`` and checks identity first, falling back to a
-    one-time content comparison (after which the entry rebinds to the new
-    list) — so a content-equal rehydrated vector keeps its tables, while a
-    label rebound to a genuinely different vector resets its entry.
-
-    A caller that knows it will reuse a vector (a pool worker about to
-    prove a chunk under one key) builds the tables up front with
-    ``build_after=1`` and no scalars.
-    """
-    if len(scalars) > len(points):
-        raise ValueError("more scalars than bases")
-    entry = _cache_entry_for(label, points)
-    entry.hits += 1
-    if entry.table is None and entry.hits >= build_after:
-        entry.build()
-    if entry.table is not None:
-        return entry.table.msm(scalars)
-    if len(scalars) < len(points):
-        return _generic_msm(list(points[: len(scalars)]), scalars)
-    return _generic_msm(points, scalars)
-
-
-def _evict_oversized_tables(keep: _CacheEntry) -> None:
-    """Drop the least-recently-used *promoted* entries until the total
-    table footprint fits the point budget (the newest table always stays)."""
-    total = sum(e.cost() for e in _FIXED_BASE_CACHE.values() if e.table)
-    if total <= _CACHE_TABLE_POINT_LIMIT:
-        return
-    for lbl in list(_FIXED_BASE_CACHE):
-        e = _FIXED_BASE_CACHE[lbl]
-        if e.table is None or e is keep:
-            continue
-        total -= e.cost()
-        del _FIXED_BASE_CACHE[lbl]
-        if total <= _CACHE_TABLE_POINT_LIMIT:
-            return
-
-
-def clear_fixed_base_cache() -> None:
-    _FIXED_BASE_CACHE.clear()

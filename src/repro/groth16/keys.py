@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..curve.bn254 import AffinePoint, point_to_bytes
+from ..curve.fixed_base import FixedBaseMSM
 
 
 @dataclass
@@ -17,6 +17,9 @@ class ProvingKey:
     toxic waste: the wire evaluations baked into these elements already
     include the ``zeta^d`` monomial factors, so proving is *identical* to
     vanilla Groth16 (the packing is free at proof time).
+
+    From its second proof on, the key also holds the fixed-base tables of
+    the prover's five query MSMs (:meth:`tables`).
     """
 
     alpha_g1: AffinePoint
@@ -48,54 +51,12 @@ class ProvingKey:
         count_g2 = 2 + sum(p is not None for p in self.b_g2_query)
         return count_g1 * 64 + count_g2 * 128
 
-    def fingerprint(self) -> bytes:
-        """Stable 16-byte digest of the key material.
-
-        Unlike ``id(pk)``, the fingerprint survives serialisation round
-        trips — a proving key rehydrated from the KeyStore in a pool
-        worker fingerprints identically to the original — so it is the
-        right cache label for the fixed-base window tables.  Hashing
-        every query point would cost more than a small MSM, so the digest
-        covers the shape counts, the per-key random CRS elements
-        (``alpha``/``beta``/``delta``, unique per trusted setup), and the
-        first/last two points of each G1 query.  The fixed-base cache
-        additionally content-checks every base vector it holds a table
-        for, and the blinding points (``alpha1``, ``beta1``, ``delta1``,
-        ``beta2``, ``delta2``) are bases of those vectors
-        (:meth:`blinded_queries`), so a fingerprint collision can never
-        produce a wrong proof.
-        """
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            h = hashlib.sha256(b"groth16-pk-fingerprint-v1")
-            for count in (
-                self.num_public,
-                self.domain_size,
-                len(self.a_query),
-                len(self.b_g1_query),
-                len(self.k_query),
-                len(self.h_query),
-            ):
-                h.update(count.to_bytes(8, "big"))
-            for pt in (self.alpha_g1, self.beta_g1, self.delta_g1):
-                h.update(point_to_bytes(pt))
-            for query in (self.a_query, self.b_g1_query, self.k_query, self.h_query):
-                for pt in query[:2]:
-                    h.update(point_to_bytes(pt))
-                for pt in query[-2:]:
-                    h.update(point_to_bytes(pt))
-            fp = h.digest()[:16]
-            self._fingerprint = fp
-        return fp
-
     def blinded_queries(self) -> Tuple[list, list, list]:
         """The A, B (G2) and B (G1) queries with the points their blinding
         terms multiply appended: ``[A | alpha1 | delta1]``,
         ``[B2 | beta2 | delta2]`` and ``[B1 | beta1]``.  The prover runs
         its MSMs over these, taking the ``1 | r``, ``1 | s`` and ``1``
-        scalars after the wires.  Built once per key, like
-        :meth:`fingerprint`, so the fixed-base cache sees the same lists
-        on every proof.
+        scalars after the wires.  Built once per key.
         """
         queries = getattr(self, "_blinded_queries", None)
         if queries is None:
@@ -106,6 +67,35 @@ class ProvingKey:
             )
             self._blinded_queries = queries
         return queries
+
+    def query_msms(self) -> tuple:
+        """The bases of the prover's five MSMs, in proof order: the
+        blinded A, B (G2) and B (G1) queries, then K and H.
+
+        The prover calls this once per proof.  The first call returns the
+        plain base lists, so a key proved once runs the generic ``msm``
+        and never pays the precompute; the second builds the key's
+        :meth:`tables`, and every later call returns them.
+        """
+        if getattr(self, "_tables", None) is None and not getattr(
+            self, "_proved", False
+        ):
+            self._proved = True
+            return (*self.blinded_queries(), self.k_query, self.h_query)
+        return self.tables()
+
+    def tables(self) -> Tuple[FixedBaseMSM, ...]:
+        """One :class:`FixedBaseMSM` per base list of :meth:`query_msms`,
+        built on the first call.  They are attributes of this key, so
+        they are freed with it."""
+        tables = getattr(self, "_tables", None)
+        if tables is None:
+            tables = tuple(
+                FixedBaseMSM(bases)
+                for bases in (*self.blinded_queries(), self.k_query, self.h_query)
+            )
+            self._tables = tables
+        return tables
 
 
 @dataclass

@@ -41,13 +41,13 @@ compute the *same polynomial*, so proof bytes are identical.
 from __future__ import annotations
 
 import secrets
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 # ``multiply`` is unused here but stays importable: the e2e benchmark's
 # tracer (benchmarks/e2e/trace.py) patches it to count generic
 # multiplications in a proof, which must be zero.
-from ..curve.bn254 import CURVE_ORDER, add, multiply  # noqa: F401
-from ..curve.fixed_base import fixed_base_msm
+from ..curve.bn254 import CURVE_ORDER, AffinePoint, add, multiply  # noqa: F401
+from ..curve.fixed_base import FixedBaseMSM
 from ..curve.msm import msm
 from ..field import vector as _vector
 from ..field.ntt import (
@@ -66,10 +66,6 @@ R = CURVE_ORDER
 # Coset generator for the quotient computation; any non-domain element works.
 COSET_GENERATOR = 7
 
-#: Fixed-base cache label of each query MSM, the first half of the label
-#: ``(name, pk.fingerprint())``; ``Groth16Backend.warm`` builds the same
-#: five tables (:func:`query_bases`).
-QUERY_LABELS = ("groth16-a", "groth16-b2", "groth16-b1", "groth16-k", "groth16-h")
 
 
 class _QuotientContext:
@@ -213,13 +209,17 @@ def _compute_h_reference(
     return h_coeffs[: domain_size - 1]
 
 
-def query_bases(pk: ProvingKey) -> List[Tuple[tuple, list]]:
-    """``(cache label, bases)`` of the prover's five fixed-base MSMs, in
-    :data:`QUERY_LABELS` order: the blinded A, B (G2) and B (G1) queries,
-    then K and H."""
-    fp = pk.fingerprint()
-    vectors = (*pk.blinded_queries(), pk.k_query, pk.h_query)
-    return [((name, fp), bases) for name, bases in zip(QUERY_LABELS, vectors)]
+# Every query MSM is one call of this function, named after its query:
+# the e2e benchmark's tracer (benchmarks/e2e/trace.py) wraps it by name and
+# reads the span name from its first positional argument and the point
+# count from the length of its third.
+def fixed_base_msm(name: str, bases, scalars: Sequence[int]) -> AffinePoint:
+    """``sum_j scalars[j] * P_j`` over a query's :class:`FixedBaseMSM`, or
+    over its plain base list with the generic ``msm``
+    (:meth:`~repro.groth16.keys.ProvingKey.query_msms`)."""
+    if isinstance(bases, FixedBaseMSM):
+        return bases.msm(scalars)
+    return msm(bases, scalars)
 
 
 def prove(
@@ -241,27 +241,23 @@ def prove(
     r = rng() % R
     s = rng() % R
 
-    # The query bases are fixed per proving key and reused across proofs,
-    # so the five query MSMs (four in G1, one in G2) go through the
-    # fixed-base cache: the second proof under the same key builds tables
-    # and every later proof runs them with no doublings at all.  Labels
-    # carry the key's content fingerprint, so a rehydrated copy of the
-    # same key (a pool worker reloading it from the KeyStore) lands on the
-    # same cache slot and keeps the warm tables; the cache's own content
-    # check on the points resets any entry whose bases genuinely differ.
-    a_side, b2_side, b1_side, k_side, h_side = query_bases(pk)
+    # The query bases are fixed per proving key, so the key holds a
+    # fixed-base table for each of the five query MSMs (four in G1, one in
+    # G2), built by its second proof: every later proof runs them with no
+    # doublings at all.
+    a_side, b2_side, b1_side, k_side, h_side = pk.query_msms()
     wires = list(assignment)
 
     # pi_A = alpha + sum c_i u_i(tau) + r*delta
-    pi_a = fixed_base_msm(*a_side, wires + [1, r])
+    pi_a = fixed_base_msm("groth16-a", a_side, wires + [1, r])
     # pi_B (G2) = beta + sum c_i v_i(tau) + s*delta
-    pi_b = fixed_base_msm(*b2_side, wires + [1, s])
+    pi_b = fixed_base_msm("groth16-b2", b2_side, wires + [1, s])
     # pi_B1 = beta + sum c_i v_i(tau), pi_B in G1 without its s*delta.
-    pi_b1 = fixed_base_msm(*b1_side, wires + [1])
+    pi_b1 = fixed_base_msm("groth16-b1", b1_side, wires + [1])
 
-    k_acc = fixed_base_msm(*k_side, wires[pk.num_public:])
+    k_acc = fixed_base_msm("groth16-k", k_side, wires[pk.num_public:])
     h_coeffs = _compute_h(instance, assignment, pk.domain_size)
-    h_acc = fixed_base_msm(*h_side, h_coeffs)
+    h_acc = fixed_base_msm("groth16-h", h_side, h_coeffs)
 
     # pi_C = K + H + s*pi_A + r*pi_B1 (module docstring).
     pi_c = add(add(k_acc, h_acc), msm([pi_a, pi_b1], [s, r]))

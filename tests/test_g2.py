@@ -2,14 +2,14 @@
 
 * ``multiply`` on a G2 point equals the wNAF-over-``Fq2``-objects
   reference (``_g2_reference``) on edge and random scalars;
-* the G2 MSMs — generic Pippenger, ``FixedBaseMSM`` and the promote-on-reuse
-  ``fixed_base_msm`` cache — equal the naive per-point sum, including
-  ``None`` bases, zero scalars, prefixes, bucket doublings and cancelling
-  pairs;
+* the G2 MSMs — generic Pippenger, ``FixedBaseMSM`` and a proving key's
+  pi_B query before and after it promotes to a table — equal the naive
+  per-point sum, including ``None`` bases, zero scalars, prefixes, bucket
+  doublings and cancelling pairs;
 * a seeded Groth16 keypair and proof are byte-identical to the ones the
   per-point pi_B loop and per-point setup produced (pinned digests), for
   both the zkVC circuit and the vanilla baseline;
-* a pool worker's warm-up builds the G2 table too.
+* a pool worker's warm-up builds the key's G2 table too.
 """
 
 import hashlib
@@ -33,18 +33,12 @@ from repro.curve.bn254 import (
     multiply,
     neg,
 )
-from repro.curve.fixed_base import (
-    _FIXED_BASE_CACHE,
-    FixedBaseMSM,
-    FixedBaseTable,
-    _CacheEntry,
-    clear_fixed_base_cache,
-    fixed_base_msm,
-)
+from repro.curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from repro.curve.msm import msm
 from repro.field.extension import Fq2
 from repro.gadgets.matmul import MatmulCircuit
 from repro.groth16 import prove, setup, verify
+from repro.groth16.prove import fixed_base_msm
 
 G2 = g2_generator()
 _rng = random.Random(0x62)
@@ -180,26 +174,29 @@ class TestG2Msm:
         assert fb.msm_many(rows) == [reference_g2_msm(_POOL, r) for r in rows]
 
     def test_cache_promotes_on_reuse(self):
-        clear_fixed_base_cache()
-        try:
-            pts = [_POOL[0], None] + _POOL[1:]
-            for seed in range(3):  # generic, build, table
-                scs = _rand_scalars(len(pts), seed)
-                assert fixed_base_msm("g2-test", pts, scs) == reference_g2_msm(pts, scs)
-            assert _FIXED_BASE_CACHE["g2-test"].table is not None
-            # A prefix of the scalars, through the table.
-            scs = _rand_scalars(3, 9)
-            assert fixed_base_msm("g2-test", pts, scs) == reference_g2_msm(pts, scs)
-        finally:
-            clear_fixed_base_cache()
+        """A key's pi_B query runs the generic MSM on its first proof and
+        its table from the second on."""
+        _, inst = _seeded_circuit("crpc_psq", 2, 2, 2)
+        pk = setup(inst, rng=_det_rng(5)).pk
+        pts = pk.blinded_queries()[1]
+        sides = [pk.query_msms()[1] for _ in range(3)]
+        assert sides[0] is pts
+        assert isinstance(sides[1], FixedBaseMSM) and sides[2] is sides[1]
+        for seed, side in enumerate(sides):
+            scs = _rand_scalars(len(pts), seed)
+            assert fixed_base_msm("groth16-b2", side, scs) == reference_g2_msm(
+                pts, scs
+            )
+        # A prefix of the scalars, through the table.
+        scs = _rand_scalars(3, 9)
+        assert sides[2].msm(scs) == reference_g2_msm(pts[:3], scs)
 
     def test_table_cost_charges_g2_at_its_size(self):
-        g1_pts = [(1, 2)] * 10
-        assert _CacheEntry(g1_pts).cost() == 10
-        # A G2 base holds twice the ints per point over as many shifts.
-        assert _CacheEntry(_POOL * 5).cost() == 2 * 30
-        g1_table, g2_table = FixedBaseMSM(g1_pts[:1]), FixedBaseMSM(_POOL[:1])
+        """A G2 base stores as many shifts as a G1 one, each of twice the
+        coordinates."""
+        g1_table, g2_table = FixedBaseMSM([(1, 2)]), FixedBaseMSM(_POOL[:1])
         assert len(g2_table.shifted[0]) == len(g1_table.shifted[0])
+        assert len(g2_table.shifted[0][0]) == 2 * len(g1_table.shifted[0][0])
 
 
 def _det_rng(seed):
@@ -242,13 +239,9 @@ class TestGroth16ByteIdentity:
         ).hexdigest() == kp_digest
 
         assignment = mc.cs.assignment()
-        clear_fixed_base_cache()
-        try:
-            # Generic MSM, table build, warm table: all the same bytes.
-            proofs = [prove(kp.pk, inst, assignment, rng=_det_rng(11))
-                      for _ in range(3)]
-        finally:
-            clear_fixed_base_cache()
+        # Generic MSM, table build, warm table: all the same bytes.
+        proofs = [prove(kp.pk, inst, assignment, rng=_det_rng(11))
+                  for _ in range(3)]
         for pf in proofs:
             assert hashlib.sha256(pf.to_bytes()).hexdigest() == pf_digest
 
@@ -276,14 +269,11 @@ class TestPrewarm:
         backend = Groth16Backend()
         circuit = MatmulCircuit(2, 2, 2, "crpc_psq")
         artifacts = backend.setup(circuit, rng=_det_rng(5))
-        clear_fixed_base_cache()
-        try:
-            backend.warm(artifacts)
-            pk = artifacts.keypair.pk
-            entry = _FIXED_BASE_CACHE[("groth16-b2", pk.fingerprint())]
-            assert entry.table is not None
-            # The query with beta2 and delta2 appended, memoised per key.
-            assert entry.points is pk.blinded_queries()[1]
-            assert entry.points[:-2] == pk.b_g2_query
-        finally:
-            clear_fixed_base_cache()
+        backend.warm(artifacts)
+        pk = artifacts.keypair.pk
+        table = pk.tables()[1]
+        # The query with beta2 and delta2 appended, memoised per key.
+        assert len(table) == len(pk.blinded_queries()[1])
+        assert len(table) == len(pk.b_g2_query) + 2
+        # The key's first proof already runs on it.
+        assert pk.query_msms()[1] is table

@@ -211,54 +211,6 @@ class TestPlannedQuotientProofBytes:
         assert verify(keypair.vk, circuit.public_inputs(), pf_fast)
 
 
-class TestProvingKeyFingerprint:
-    def test_stable_across_rehydration(self, keypair):
-        kp2 = serialize.groth16_keypair_from_bytes(
-            serialize.groth16_keypair_to_bytes(keypair)
-        )
-        assert kp2.pk.fingerprint() == keypair.pk.fingerprint()
-
-    def test_distinct_setups_differ(self, keypair, instance):
-        rng = random.Random(1234)
-        other = setup(instance, rng=lambda: rng.getrandbits(256))
-        assert other.pk.fingerprint() != keypair.pk.fingerprint()
-
-    def test_fingerprint_cached(self, keypair):
-        assert keypair.pk.fingerprint() is keypair.pk.fingerprint()
-
-    def test_warm_tables_survive_rehydration(self, keypair, instance, circuit):
-        """A rehydrated key lands on the same fixed-base cache slot (stable
-        fingerprint label) and keeps the promoted window tables."""
-        from repro.curve.fixed_base import (
-            _FIXED_BASE_CACHE,
-            clear_fixed_base_cache,
-        )
-
-        clear_fixed_base_cache()
-        try:
-            assignment = circuit.assignment()
-            for _ in range(2):  # second sighting promotes to tables
-                prove(keypair.pk, instance, assignment)
-            label = ("groth16-a", keypair.pk.fingerprint())
-            entry = _FIXED_BASE_CACHE[label]
-            assert entry.table is not None
-            table = entry.table
-
-            kp2 = serialize.groth16_keypair_from_bytes(
-                serialize.groth16_keypair_to_bytes(keypair)
-            )
-            pf = prove(kp2.pk, instance, assignment)
-            after = _FIXED_BASE_CACHE[label]
-            assert after is entry and after.table is table
-            # Rebound to the rehydrated key's memoised A-side list (the A
-            # query with alpha1 and delta1 appended): identity fast path
-            # from now on.
-            assert after.points is kp2.pk.blinded_queries()[0]
-            assert verify(keypair.vk, circuit.public_inputs(), pf)
-        finally:
-            clear_fixed_base_cache()
-
-
 class TestPackedCircuitGroth16:
     def test_packed_circuit_proves(self):
         """A circuit with Z-packed coefficients, specialised at its public

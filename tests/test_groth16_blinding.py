@@ -5,28 +5,28 @@ small MSM.
   ``multiply`` sum in G1 and G2, with ``None`` points, zero scalars,
   folded negatives, ``r - 1``, duplicated points and ``P`` with ``-P``;
 * a dense :class:`FixedBaseTable` (the trusted setup's generator tables)
-  equals ``multiply`` at every window, and the cache charges a query
-  table its real size;
+  equals ``multiply`` at every window;
 * a key's first proof (generic MSMs), its second (table build) and a
   proof after ``Groth16Backend.warm`` match sha256 digests pinned from
   the prover that multiplied the blinding points on tables of their own,
   and ``pi_C`` equals the textbook formula;
 * no proof makes a generic ``multiply`` call, and ``warm`` builds exactly
   the five query tables a proof uses;
-* two keys whose fingerprints collide still prove correctly, and six
-  keys rotating keep every table resident;
+* seven keys proved in rotation build five tables each, all at their
+  second proof, and a dropped key's tables are freed with it;
 * the default randomness of the trusted setup, the Groth16 prover and
   the Hyrax blinders is uniform below r (``secrets.randbelow``).
 """
 
+import gc
 import hashlib
 import importlib
 import random
 import secrets
+import weakref
 
 import pytest
 
-import repro.curve.fixed_base as fixed_base
 from repro.core.backends import Groth16Backend
 from repro.curve.bn254 import (
     CURVE_ORDER,
@@ -36,17 +36,10 @@ from repro.curve.bn254 import (
     multiply,
     neg,
 )
-from repro.curve.fixed_base import (
-    _FIXED_BASE_CACHE,
-    FixedBaseMSM,
-    FixedBaseTable,
-    _CacheEntry,
-    clear_fixed_base_cache,
-)
+from repro.curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from repro.curve.msm import msm
 from repro.gadgets.matmul import MatmulCircuit
 from repro.groth16 import prove, setup, verify
-from repro.groth16.prove import QUERY_LABELS
 from repro.spartan.commitment import HyraxProver, hyrax_verify
 
 # The package attributes ``repro.groth16.prove`` and ``repro.curve.msm``
@@ -61,8 +54,6 @@ POOLS = {
     "g2": [multiply(g2_generator(), _rng.randrange(1, R)) for _ in range(6)],
 }
 _S = _rng.randrange(R)
-
-LABELS_PER_KEY = len(QUERY_LABELS)
 
 
 def _naive(points, scalars):
@@ -133,31 +124,6 @@ class TestDenseTable:
             ]
 
 
-@pytest.mark.parametrize("group", ["g1", "g2"])
-def test_cache_cost_is_real_size(group):
-    """The cache charges a query table its stored ints, in units of one
-    G1 base's table."""
-    pts = POOLS[group][:3]
-    table = FixedBaseMSM(pts)
-    ints = sum(len(row) * len(row[0]) for row in table.shifted)
-    unit = len(FixedBaseMSM(POOLS["g1"][:1]).shifted[0]) * 2
-    assert _CacheEntry(pts).cost() == ints // unit
-
-
-def test_eviction_budget_charges_g2_tables_at_their_size(monkeypatch):
-    """Three two-point G2 tables (4 units each) do not fit a 10-unit
-    budget: the least recently built one goes."""
-    monkeypatch.setattr(fixed_base, "_CACHE_TABLE_POINT_LIMIT", 10)
-    clear_fixed_base_cache()
-    try:
-        for i in range(3):
-            pts = POOLS["g2"][2 * i:2 * i + 2]
-            fixed_base.fixed_base_msm(("g2", i), pts, (), build_after=1)
-        assert sorted(_FIXED_BASE_CACHE) == [("g2", 1), ("g2", 2)]
-    finally:
-        clear_fixed_base_cache()
-
-
 # -- Groth16 -------------------------------------------------------------------
 
 
@@ -192,10 +158,18 @@ def crpc():
 
 
 @pytest.fixture
-def fresh_cache():
-    clear_fixed_base_cache()
-    yield
-    clear_fixed_base_cache()
+def table_builds(monkeypatch):
+    """``(bases, weakref to the table)`` of every :class:`FixedBaseMSM`
+    built while the test runs."""
+    builds = []
+    real = FixedBaseMSM.__init__
+
+    def spy(self, points=(), window=None):
+        builds.append((points, weakref.ref(self)))
+        real(self, points, window)
+
+    monkeypatch.setattr(FixedBaseMSM, "__init__", spy)
+    return builds
 
 
 @pytest.fixture
@@ -236,16 +210,23 @@ def _textbook_pi_c(pk, instance, assignment, seed):
     return add(pi_c, neg(multiply(pk.delta_g1, r * s % R)))
 
 
+def _query_vectors(pk):
+    """The five base lists a proof runs its MSMs over, in proof order."""
+    return [*pk.blinded_queries(), pk.k_query, pk.h_query]
+
+
 class TestBlindingByteIdentity:
     @pytest.mark.parametrize("strategy", sorted(PINNED_PROOFS))
-    def test_proofs_match_pinned_bytes(self, strategy, fresh_cache):
+    def test_proofs_match_pinned_bytes(self, strategy, table_builds):
         circuit, artifacts = _artifacts(7, strategy=strategy)
-        # First sighting (generic MSMs), then the table build.
+        # The generic MSMs, then the table build.
         proofs = [_prove(circuit, artifacts) for _ in range(2)]
-        assert all(e.table is not None for e in _FIXED_BASE_CACHE.values())
-        clear_fixed_base_cache()
+        assert len(table_builds) == 5
+        # A fresh copy of the same key, warmed before its first proof.
+        circuit, artifacts = _artifacts(7, strategy=strategy)
         Groth16Backend().warm(artifacts, circuit)
         proofs.append(_prove(circuit, artifacts))
+        assert len(table_builds) == 10
         for pf in proofs:
             assert hashlib.sha256(pf.to_bytes()).hexdigest() == (
                 PINNED_PROOFS[strategy]
@@ -254,11 +235,11 @@ class TestBlindingByteIdentity:
             artifacts.keypair.vk, circuit.cs.public_inputs(), proofs[0]
         )
 
-    def test_generic_promoted_and_warmed_proofs_agree(self, crpc, fresh_cache):
-        circuit, artifacts = crpc
-        # First sighting (generic), promotion, promoted tables.
+    def test_generic_promoted_and_warmed_proofs_agree(self):
+        circuit, artifacts = _artifacts(7)
+        # Generic, table build, tables.
         proofs = [_prove(circuit, artifacts) for _ in range(3)]
-        clear_fixed_base_cache()
+        circuit, artifacts = _artifacts(7)
         Groth16Backend().warm(artifacts, circuit)
         proofs.append(_prove(circuit, artifacts))
         blobs = {pf.to_bytes() for pf in proofs}
@@ -267,7 +248,7 @@ class TestBlindingByteIdentity:
             artifacts.keypair.vk, circuit.cs.public_inputs(), proofs[0]
         )
 
-    def test_pi_c_equals_old_formula(self, crpc, fresh_cache):
+    def test_pi_c_equals_old_formula(self, crpc):
         circuit, artifacts = crpc
         pk = artifacts.keypair.pk
         assignment = circuit.cs.assignment()
@@ -278,77 +259,67 @@ class TestBlindingByteIdentity:
             )
 
 
-def _query_labels(pk):
-    fp = pk.fingerprint()
-    return sorted((name, fp) for name in QUERY_LABELS)
-
-
 class TestBlindingTables:
     def test_warm_removes_every_generic_multiply(
-        self, crpc, fresh_cache, multiply_calls
+        self, table_builds, multiply_calls
     ):
-        circuit, artifacts = crpc
+        circuit, artifacts = _artifacts(7)
         pk = artifacts.keypair.pk
         Groth16Backend().warm(artifacts, circuit)
         # Exactly the five query tables, over the lists a proof passes.
-        assert sorted(_FIXED_BASE_CACHE) == _query_labels(pk)
+        bases = [points for points, _ in table_builds]
+        assert len(bases) == 5
         assert all(
-            isinstance(e.table, FixedBaseMSM) for e in _FIXED_BASE_CACHE.values()
+            got is want for got, want in zip(bases, _query_vectors(pk))
         )
-        bases = _FIXED_BASE_CACHE[("groth16-a", pk.fingerprint())].points
-        assert bases is pk.blinded_queries()[0]
-        assert bases[-2:] == [pk.alpha_g1, pk.delta_g1]
+        assert bases[0][-2:] == [pk.alpha_g1, pk.delta_g1]
         _prove(circuit, artifacts)
         assert multiply_calls == []
-        assert sorted(_FIXED_BASE_CACHE) == _query_labels(pk)
+        assert len(table_builds) == 5
 
-    def test_second_proof_runs_on_tables(
-        self, crpc, fresh_cache, multiply_calls
-    ):
-        circuit, artifacts = crpc
-        pk = artifacts.keypair.pk
+    def test_second_proof_runs_on_tables(self, table_builds, multiply_calls):
+        circuit, artifacts = _artifacts(7)
         _prove(circuit, artifacts)
         # The blinding points ride the generic MSMs: no multiply, no table.
         assert multiply_calls == []
-        assert sorted(_FIXED_BASE_CACHE) == _query_labels(pk)
-        assert all(e.table is None for e in _FIXED_BASE_CACHE.values())
+        assert table_builds == []
         _prove(circuit, artifacts)
         _prove(circuit, artifacts)
         assert multiply_calls == []
-        assert all(e.table is not None for e in _FIXED_BASE_CACHE.values())
+        assert len(table_builds) == 5
+        tables = artifacts.keypair.pk.query_msms()
+        assert [ref() for _, ref in table_builds] == list(tables)
 
-    def test_fingerprint_collision_never_gives_a_wrong_proof(self, fresh_cache):
-        """Two keys forced onto one fingerprint share every cache label;
-        the content check must keep either key's tables from serving the
-        other, past promotion and back."""
-        circuit, first = _artifacts(21)
-        _, second = _artifacts(22)
-        second.keypair.pk._fingerprint = first.keypair.pk.fingerprint()
-        assert second.keypair.pk.delta_g2 != first.keypair.pk.delta_g2
-        public = circuit.cs.public_inputs()
-        for artifacts in [first, first, second, second, first, second] * 2:
-            pf = _prove(circuit, artifacts)
-            assert verify(artifacts.keypair.vk, public, pf)
-
-    def test_six_keys_rotating_keep_every_table(self, fresh_cache):
-        keys = [_artifacts(30 + i) for i in range(6)]
-        for circuit, artifacts in keys:
-            for _ in range(2):  # the second proof promotes every label
-                _prove(circuit, artifacts)
-        assert len(_FIXED_BASE_CACHE) == 6 * LABELS_PER_KEY
-        assert len(_FIXED_BASE_CACHE) == fixed_base._CACHE_LIMIT
-        tables = {lbl: e.table for lbl, e in _FIXED_BASE_CACHE.items()}
-        assert all(t is not None for t in tables.values())
-        for _ in range(2):
-            for circuit, artifacts in keys:
+    def test_seven_keys_rotating_build_each_table_once(self, table_builds):
+        """More keys than the six a bounded cache once held: each builds
+        its five tables at its second proof and never again."""
+        keys = [_artifacts(30 + i) for i in range(7)]
+        builds = {}
+        for rnd in range(3):
+            for i, (circuit, artifacts) in enumerate(keys):
+                before = len(table_builds)
                 pf = _prove(circuit, artifacts)
                 assert verify(
                     artifacts.keypair.vk, circuit.cs.public_inputs(), pf
                 )
-        assert {lbl: e.table for lbl, e in _FIXED_BASE_CACHE.items()} == tables
-        assert all(
-            _FIXED_BASE_CACHE[lbl].table is t for lbl, t in tables.items()
-        )
+                if len(table_builds) > before:
+                    builds[i, rnd] = [p for p, _ in table_builds[before:]]
+        assert sorted(builds) == [(i, 1) for i in range(7)]
+        for i, (_, artifacts) in enumerate(keys):
+            want = _query_vectors(artifacts.keypair.pk)
+            assert len(builds[i, 1]) == 5
+            assert all(got is w for got, w in zip(builds[i, 1], want))
+
+    def test_dropped_key_frees_its_tables(self, table_builds):
+        circuit, artifacts = _artifacts(40)
+        Groth16Backend().warm(artifacts, circuit)
+        pf = _prove(circuit, artifacts)
+        assert verify(artifacts.keypair.vk, circuit.cs.public_inputs(), pf)
+        refs = [ref for _, ref in table_builds]
+        assert len(refs) == 5 and all(ref() is not None for ref in refs)
+        del artifacts, pf
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 def test_default_randomness_is_uniform_below_r(monkeypatch):

@@ -26,14 +26,11 @@ from repro.curve.bn254 import (
     multiply,
     neg,
 )
-from repro.curve.fixed_base import (
-    FixedBaseMSM,
-    FixedBaseTable,
-    clear_fixed_base_cache,
-    fixed_base_msm,
-)
+from repro.curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from repro.curve.msm import _msm_jacobian, msm, signed_digits
 from repro.field.prime_field import BN254_FR_MODULUS
+from repro.gadgets.matmul import MatmulCircuit
+from repro.groth16 import setup
 from repro.spartan.sumcheck import (
     SumcheckProof,
     sumcheck_prove,
@@ -181,21 +178,22 @@ class TestFixedBase:
         assert got == [_naive_msm(_POOL[:8], r) for r in rows]
 
     def test_cache_promotes_on_reuse(self):
-        clear_fixed_base_cache()
-        pts = _POOL[:6]
+        """A proving key's query MSMs run on the plain base lists at its
+        first proof and on tables it keeps from the second on."""
+        circuit = MatmulCircuit(2, 3, 2, "crpc_psq")
+        instance = circuit.cs.specialize(circuit.packing_point())
         rng = random.Random(13)
-        for trial in range(3):
-            scs = [rng.randrange(CURVE_ORDER) for _ in range(6)]
-            assert fixed_base_msm("test-label", pts, scs) == _naive_msm(
-                pts, scs
-            )
-        # Rebinding the label to different points must reset, not collide.
-        other = _POOL[6:12]
-        scs = [rng.randrange(CURVE_ORDER) for _ in range(6)]
-        assert fixed_base_msm("test-label", other, scs) == _naive_msm(
-            other, scs
-        )
-        clear_fixed_base_cache()
+        pk = setup(instance, rng=lambda: rng.getrandbits(256)).pk
+        first, second, third = (pk.query_msms() for _ in range(3))
+        vectors = (*pk.blinded_queries(), pk.k_query, pk.h_query)
+        assert all(a is b for a, b in zip(first, vectors))
+        assert all(isinstance(t, FixedBaseMSM) for t in second)
+        assert all(a is b for a, b in zip(second, third))
+        # The G1 queries; the G2 one (index 1) is in tests/test_g2.py.
+        for i in (0, 2, 3, 4):
+            bases, table = first[i], second[i]
+            scs = [rng.randrange(CURVE_ORDER) for _ in bases]
+            assert table.msm(scs) == _naive_msm(bases, scs)
 
 
 def _product_combine(vals):

@@ -21,7 +21,6 @@ from _matutil import rand_mats
 
 from repro.core import (
     BARE_POLICY,
-    ChunkLease,
     ChunkTimeout,
     CircuitRegistry,
     CorruptEnvelope,
@@ -311,17 +310,6 @@ class TestRetryPolicy:
         assert RetryPolicy(lease_multiplier=0.0).lease_seconds(9.0, 9) is None
         assert BARE_POLICY.max_attempts == 1
         assert BARE_POLICY.lease_seconds(9.0, 9) is None
-
-    def test_chunk_lease_expiry_and_renew(self):
-        lease = ChunkLease(tag="t", timeout_seconds=10.0, started=100.0)
-        assert not lease.expired(now=105.0)
-        assert lease.remaining(now=105.0) == 5.0
-        assert lease.expired(now=110.0)
-        assert lease.remaining(now=111.0) == 0.0
-        renewed = lease.renew()
-        assert renewed.attempt == 2 and renewed.timeout_seconds == 10.0
-        forever = ChunkLease(tag="t", timeout_seconds=None)
-        assert not forever.expired() and forever.remaining() is None
 
 
 class TestErrorTaxonomy:

@@ -3,8 +3,8 @@
 * ``signed_digits`` round-trips negative scalars (digits of ``|s|``,
   negated) and stops at the top non-zero digit;
 * ``msm``, ``FixedBaseMSM.msm``/``msm_many`` (w=None, 5, 8) and the
-  promote-on-reuse ``fixed_base_msm`` equal the naive per-point sum on G1
-  and G2 for the scalars folding into ``(-r/2, r/2]`` treats specially:
+  Groth16 prover's ``fixed_base_msm`` (on plain bases and on a table)
+  equal the naive per-point sum on G1 and G2 for the scalars folding into ``(-r/2, r/2]`` treats specially:
   0, 1, ``r//2``, ``r//2 + 1``, ``r - 1``, int8 negatives, all-negative
   rows, and ``s`` with ``r - s`` on a duplicated base;
 * ``FixedBaseTable.mul`` equals ``multiply`` on G1 and G2 at the
@@ -29,7 +29,8 @@
 * a table stored at step 8 (the Groth16 query tables, G1 and G2) gives the
   naive sum at its divisor windows 2 and 4 (several bucket spaces) and
   at 8, and its chooser skips scalars whose base is absent;
-* ``fixed_base_msm`` rejects too many scalars before touching its cache.
+* ``FixedBaseMSM.msm`` rejects more scalars than bases and leaves the
+  table as it was.
 """
 
 import hashlib
@@ -56,14 +57,10 @@ from repro.curve.bn254 import (
     multiply,
     point_to_bytes,
 )
-from repro.curve.fixed_base import (
-    FixedBaseMSM,
-    FixedBaseTable,
-    clear_fixed_base_cache,
-    fixed_base_msm,
-)
+from repro.curve.fixed_base import FixedBaseMSM, FixedBaseTable
 from repro.curve.msm import fold_scalar, msm, signed_digits
 from repro.gadgets.matmul import MatmulCircuit
+from repro.groth16.prove import fixed_base_msm
 from repro.spartan.commitment import (
     HyraxCommitment,
     HyraxOpening,
@@ -166,12 +163,9 @@ class TestFoldedMsmEquivalence:
     def test_cached_fixed_base_msm(self, group, case):
         pts, scs = _cases(POOLS[group])[case]
         want = NAIVE[group](pts, scs)
-        clear_fixed_base_cache()
-        try:
-            for _ in range(3):  # generic, table build, warm table
-                assert fixed_base_msm(("fold", group), pts, scs) == want
-        finally:
-            clear_fixed_base_cache()
+        # A key's first proof (plain bases), then its table.
+        for bases in (pts, FixedBaseMSM(pts)):
+            assert fixed_base_msm("fold", bases, scs) == want
 
 
 TABLE_EDGES = [0, 1, R // 2, R // 2 + 1, R - 1, -1, 1 << 253]
@@ -655,22 +649,14 @@ class TestWindowChooser:
 
 class TestFixedBaseMsmRejection:
     def test_rejected_call_leaves_cache_unchanged(self):
-        clear_fixed_base_cache()
-        try:
-            pts = _G1_POOL[:2]
-            # Fill the cache to its bound; a new label would evict one.
-            for i in range(fixed_base._CACHE_LIMIT):
-                fixed_base_msm(("reject", i), pts, [1, 2])
-            fixed_base_msm(("reject", 0), pts, [1, 2])
-            cache = fixed_base._FIXED_BASE_CACHE
-
-            def snapshot():
-                return [(lbl, e.hits, e.table) for lbl, e in cache.items()]
-
-            before = snapshot()
-            for label in (("reject", 0), ("reject", 1), ("reject", "new")):
-                with pytest.raises(ValueError):
-                    fixed_base_msm(label, pts, [1, 2, 3], build_after=1)
-                assert snapshot() == before
-        finally:
-            clear_fixed_base_cache()
+        """More scalars than bases raise, and the table's precomputed
+        rows stay as they were."""
+        for group, pool in POOLS.items():
+            pts = pool[:2]
+            table = FixedBaseMSM(pts)
+            rows = list(table.shifted)
+            with pytest.raises(ValueError):
+                table.msm([1, 2, 3])
+            assert len(table.shifted) == len(rows)
+            assert all(a is b for a, b in zip(table.shifted, rows))
+            assert table.msm([1, 2]) == NAIVE[group](pts, [1, 2])
